@@ -1,14 +1,14 @@
 #include "comm/event_backend.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <limits>
-#include <map>
 #include <mutex>
+#include <span>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -16,6 +16,8 @@
 #include "sim/event_queue.h"
 
 namespace cannikin::comm {
+
+struct EventMachine;
 
 namespace {
 
@@ -26,9 +28,199 @@ WallClock::duration wall_duration(double seconds) {
       std::chrono::duration<double>(seconds));
 }
 
-}  // namespace
+constexpr std::uint32_t kNil = std::numeric_limits<std::uint32_t>::max();
 
-struct EventMachine;
+/// Recycling object pool addressed by 32-bit index: `put` reuses a freed
+/// slot before growing, so a steady stream of short-lived records costs
+/// no allocation once the pool has reached its high-water mark. `take`
+/// moves the record out and frees its slot.
+template <typename T>
+class Slab {
+ public:
+  std::uint32_t put(T item) {
+    if (free_.empty()) {
+      items_.push_back(std::move(item));
+      return static_cast<std::uint32_t>(items_.size() - 1);
+    }
+    const std::uint32_t index = free_.back();
+    free_.pop_back();
+    items_[index] = std::move(item);
+    return index;
+  }
+
+  T take(std::uint32_t index) {
+    T item = std::move(items_[index]);
+    free_.push_back(index);
+    return item;
+  }
+
+  T& operator[](std::uint32_t index) { return items_[index]; }
+
+  void clear() {
+    items_.clear();
+    free_.clear();
+  }
+
+ private:
+  std::vector<T> items_;
+  std::vector<std::uint32_t> free_;
+};
+
+/// Intrusive FIFO threaded through a Slab's `next` links.
+struct Fifo {
+  std::uint32_t head = kNil;
+  std::uint32_t tail = kNil;
+
+  bool empty() const { return head == kNil; }
+
+  template <typename Node>
+  void push(Slab<Node>& slab, Node node) {
+    node.next = kNil;
+    const std::uint32_t index = slab.put(std::move(node));
+    if (tail == kNil) {
+      head = index;
+    } else {
+      slab[tail].next = index;
+    }
+    tail = index;
+  }
+
+  template <typename Node>
+  Node pop(Slab<Node>& slab) {
+    Node node = slab.take(head);
+    head = node.next;
+    if (head == kNil) tail = kNil;
+    return node;
+  }
+
+  template <typename Node>
+  void clear(Slab<Node>& slab) {
+    while (!empty()) pop(slab);
+  }
+};
+
+/// Two ranks packed into one 64-bit key, `hi` in the upper half.
+std::uint64_t pack_ranks(int hi, int lo) {
+  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(hi)) << 32 |
+         static_cast<std::uint32_t>(lo);
+}
+
+std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+/// Open-addressing hash map (linear probing, backward-shift erase) for
+/// the scheduler's hot lookups. Erasing never leaves tombstones, so a
+/// table whose keys churn -- a channel per in-flight (dst, src, tag) --
+/// keeps short probe runs and allocates only when it grows.
+template <typename Key, typename Value, typename Hash>
+class FlatMap {
+ public:
+  std::size_t size() const { return size_; }
+
+  Value* find(const Key& key) {
+    if (size_ == 0) return nullptr;
+    for (std::size_t i = home(key);; i = (i + 1) & mask()) {
+      Slot& slot = slots_[i];
+      if (!slot.used) return nullptr;
+      if (slot.key == key) return &slot.value;
+    }
+  }
+
+  /// Finds `key`, inserting a value-initialized entry if absent. The
+  /// reference is invalidated by the next insertion or erase.
+  Value& operator[](const Key& key) {
+    if ((size_ + 1) * 2 > slots_.size()) grow();
+    std::size_t i = home(key);
+    for (; slots_[i].used; i = (i + 1) & mask()) {
+      if (slots_[i].key == key) return slots_[i].value;
+    }
+    slots_[i] = Slot{key, Value{}, true};
+    ++size_;
+    return slots_[i].value;
+  }
+
+  /// `key` must be present.
+  void erase(const Key& key) {
+    std::size_t i = home(key);
+    while (!(slots_[i].key == key)) i = (i + 1) & mask();
+    // Backward shift: pull each later entry of the probe run into the
+    // hole unless that would move it before its home slot.
+    for (std::size_t j = (i + 1) & mask(); slots_[j].used;
+         j = (j + 1) & mask()) {
+      const std::size_t h = home(slots_[j].key);
+      if (((j - h) & mask()) >= ((j - i) & mask())) {
+        slots_[i] = std::move(slots_[j]);
+        i = j;
+      }
+    }
+    slots_[i] = Slot{};
+    --size_;
+  }
+
+  template <typename Fn>
+  void for_each(Fn fn) {
+    for (Slot& slot : slots_) {
+      if (slot.used) fn(slot.key, slot.value);
+    }
+  }
+
+  void clear() {
+    slots_.clear();
+    size_ = 0;
+  }
+
+ private:
+  struct Slot {
+    Key key{};
+    Value value{};
+    bool used = false;
+  };
+
+  std::size_t mask() const { return slots_.size() - 1; }
+  std::size_t home(const Key& key) const { return Hash{}(key) & mask(); }
+
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+    for (Slot& slot : old) {
+      if (!slot.used) continue;
+      std::size_t i = home(slot.key);
+      while (slots_[i].used) i = (i + 1) & mask();
+      slots_[i] = std::move(slot);
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+};
+
+/// Receiver-side channel key.
+struct ChannelKey {
+  int dst = 0;
+  int src = 0;
+  std::uint64_t tag = 0;
+
+  bool operator==(const ChannelKey&) const = default;
+};
+
+struct ChannelKeyHash {
+  std::size_t operator()(const ChannelKey& key) const {
+    return mix64(pack_ranks(key.dst, key.src) ^
+                 key.tag * 0x9e3779b97f4a7c15ULL);
+  }
+};
+
+struct PairHash {
+  std::size_t operator()(std::uint64_t key) const { return mix64(key); }
+};
+
+}  // namespace
 
 // All scheduler state lives behind one mutex. There is no scheduler
 // thread: whoever blocks (or calls run_until_idle) pumps the event
@@ -37,13 +229,47 @@ struct EventMachine;
 // lock across a handler is cheap and makes the whole backend
 // TSan-clean by construction.
 struct EventBackend::Impl {
-  // (dst, src, tag) -- the receiver-side key for messages and waiters.
-  using Key = std::tuple<int, int, std::uint64_t>;
-  struct Msg {
+  /// Filled by the delivery that satisfies a blocking recv().
+  struct RecvSlot {
+    bool filled = false;
     Payload payload;
     double time = 0.0;
   };
-  using RecvCont = std::function<void(Payload, double)>;
+  /// A pending receive: a machine's one outstanding await, or a
+  /// blocking recv() caller's slot (exactly one is set).
+  struct Waiter {
+    std::shared_ptr<EventMachine> machine;
+    std::shared_ptr<RecvSlot> slot;
+  };
+  struct MsgNode {
+    Payload payload;
+    double time = 0.0;
+    std::uint32_t next = kNil;
+  };
+  struct WaiterNode {
+    Waiter waiter;
+    std::uint32_t next = kNil;
+  };
+  /// Messages that arrived before their receive, and receives posted
+  /// before their message, for one (dst, src, tag). At most one of the
+  /// two FIFOs is non-empty; the channel is erased when both are.
+  struct Channel {
+    Fifo mail;
+    Fifo waiters;
+  };
+  /// Typed event record. Only kTask (post / inject_fault closures)
+  /// carries a std::function; the rest are plain data.
+  struct Event {
+    enum class Kind : std::uint8_t { kTask, kDeliver, kResume, kStart };
+    Kind kind = Kind::kTask;
+    int dst = 0;  ///< kDeliver: receiver; kStart: rank whose stream starts
+    int src = 0;
+    std::uint64_t tag = 0;
+    double msg_time = 0.0;  ///< kResume: arrival time of the queued message
+    Payload payload;
+    std::shared_ptr<EventMachine> machine;  ///< kResume
+    std::function<void()> task;             ///< kTask
+  };
 
   // Set while the current thread is executing an event handler for
   // this backend; public entry points use it to switch to the
@@ -56,22 +282,28 @@ struct EventBackend::Impl {
 
   mutable std::mutex mu;
   std::condition_variable cv;
-  sim::EventQueue<std::function<void()>> queue;
+  /// Orders event-record indices by (time, seq); the records live in
+  /// `records`.
+  sim::EventQueue<std::uint32_t> queue;
+  Slab<Event> records;
   double vnow = 0.0;
   std::uint64_t events = 0;
   sim::FabricModel fabric;
   sim::RetryPolicy retry;
   /// Per-(src, dst) monotone message counter feeding plan_delivery's
-  /// replayable drop/jitter hashes. A map, not an n*n matrix: at 10k
-  /// ranks only the O(n log n) tree edges ever appear.
-  std::map<std::pair<int, int>, std::uint64_t> pair_seq;
+  /// replayable drop/jitter hashes, keyed pack_ranks(src, dst). Hashed, not
+  /// an n*n matrix: at 10k ranks only the O(n log n) tree edges appear.
+  FlatMap<std::uint64_t, std::uint64_t, PairHash> pair_seq;
   RetryStats retry_totals;
   obs::Scope scope;
   std::vector<char> row_named;
   std::vector<double> vclock;  ///< per-rank virtual clock
   std::vector<char> dead;
-  std::map<Key, std::deque<Msg>> mail;
-  std::map<Key, std::deque<RecvCont>> waiters;
+  FlatMap<ChannelKey, Channel, ChannelKeyHash> channels;
+  Slab<MsgNode> mail_nodes;
+  Slab<WaiterNode> waiter_nodes;
+  /// Spent payload buffers, reused by the machines' sends.
+  std::vector<Payload> spare_payloads;
   /// Per-rank FIFO of collective machines (NCCL stream semantics):
   /// front is in flight, the rest wait for it.
   std::vector<std::deque<std::shared_ptr<EventMachine>>> streams;
@@ -86,24 +318,33 @@ struct EventBackend::Impl {
 
   // --- core scheduler (all _locked methods require mu held) ---
 
-  void push_event_locked(double time, std::function<void()> fn) {
-    queue.push(std::max(time, vnow), std::move(fn));
+  void push_event_locked(double time, Event event) {
+    queue.push(std::max(time, vnow), records.put(std::move(event)));
+  }
+
+  void push_task_locked(double time, std::function<void()> fn) {
+    Event event;
+    event.task = std::move(fn);
+    push_event_locked(time, std::move(event));
   }
 
   void run_one_locked() {
-    auto [time, fn] = queue.pop();
+    const auto [time, index] = queue.pop();
     vnow = std::max(vnow, time);
     ++events;
+    Event event = records.take(index);
     Impl* const prev = tl_pump;
     tl_pump = this;
     try {
-      fn();
+      dispatch_locked(event);
     } catch (...) {
       tl_pump = prev;
       throw;
     }
     tl_pump = prev;
   }
+
+  void dispatch_locked(Event& event);
 
   /// Pumps events until `pred` holds. Returns false if the *explicit*
   /// deadline passes first (Work::wait(timeout) semantics: the op keeps
@@ -159,15 +400,31 @@ struct EventBackend::Impl {
     }
   }
 
+  // --- payload recycling ---
+
+  Payload take_payload() {
+    if (spare_payloads.empty()) return {};
+    Payload payload = std::move(spare_payloads.back());
+    spare_payloads.pop_back();
+    return payload;
+  }
+
+  void recycle(Payload&& payload) {
+    if (payload.capacity() == 0) return;
+    payload.clear();
+    spare_payloads.push_back(std::move(payload));
+  }
+
   // --- message fabric ---
 
   void send_locked(int src, int dst, std::uint64_t tag, Payload payload,
                    double at_time) {
     if (dead[static_cast<std::size_t>(src)] ||
         dead[static_cast<std::size_t>(dst)]) {
+      recycle(std::move(payload));
       return;  // messages to or from a failed rank vanish
     }
-    const std::uint64_t seq = pair_seq[{src, dst}]++;
+    const std::uint64_t seq = pair_seq[pack_ranks(src, dst)]++;
     const sim::DeliveryPlan plan =
         sim::plan_delivery(fabric, retry, src, dst,
                            payload.size() * sizeof(double), at_time, seq);
@@ -181,62 +438,101 @@ struct EventBackend::Impl {
       // surfaces CommTimeoutError / strands, same as a dead peer.
       ++retry_totals.dropped;
       if (scope.enabled()) scope.counter_add("comm.retry.dropped", 1);
+      recycle(std::move(payload));
       return;
     }
-    push_event_locked(
-        plan.delivery_seconds,
-        [this, src, dst, tag, p = std::move(payload)]() mutable {
-          deliver_locked(dst, src, tag, std::move(p), vnow);
-        });
+    Event event;
+    event.kind = Event::Kind::kDeliver;
+    event.dst = dst;
+    event.src = src;
+    event.tag = tag;
+    event.payload = std::move(payload);
+    push_event_locked(plan.delivery_seconds, std::move(event));
   }
 
   void deliver_locked(int dst, int src, std::uint64_t tag, Payload payload,
                       double time) {
     if (dead[static_cast<std::size_t>(dst)] ||
         dead[static_cast<std::size_t>(src)]) {
+      recycle(std::move(payload));
       return;
     }
-    const Key key{dst, src, tag};
-    const auto it = waiters.find(key);
-    if (it != waiters.end() && !it->second.empty()) {
-      RecvCont cont = std::move(it->second.front());
-      it->second.pop_front();
-      cont(std::move(payload), time);
-    } else {
-      mail[key].push_back({std::move(payload), time});
+    const ChannelKey key{dst, src, tag};
+    Channel& channel = channels[key];
+    if (channel.waiters.empty()) {
+      channel.mail.push(mail_nodes, MsgNode{std::move(payload), time});
+      return;
     }
+    Waiter waiter = channel.waiters.pop(waiter_nodes).waiter;
+    if (channel.waiters.empty()) channels.erase(key);
+    resume_locked(waiter, std::move(payload), time);
   }
 
-  /// Registers a continuation for the next (src, tag) message at
-  /// `dst`. A message already in the mailbox is re-dispatched through a
-  /// zero-delay event (never recursively), keeping handler stack depth
-  /// constant at 10k ranks.
-  void await_locked(int dst, int src, std::uint64_t tag, RecvCont cont) {
-    const Key key{dst, src, tag};
-    const auto it = mail.find(key);
-    if (it != mail.end() && !it->second.empty()) {
-      Msg msg = std::move(it->second.front());
-      it->second.pop_front();
-      push_event_locked(vnow, [cont = std::move(cont),
-                               p = std::move(msg.payload),
-                               t = msg.time]() mutable {
-        cont(std::move(p), t);
-      });
-    } else {
-      waiters[key].push_back(std::move(cont));
+  /// Hands a message to its receive: fills a recv() slot, or advances
+  /// a machine (skipped if the machine has failed meanwhile).
+  void resume_locked(const Waiter& waiter, Payload payload, double time);
+
+  /// Registers `machine`'s one outstanding receive for the next
+  /// (src, tag) message at `dst`. A message already in the mailbox is
+  /// re-dispatched through a zero-delay event (never recursively),
+  /// keeping handler stack depth constant at 10k ranks.
+  void await_locked(int dst, int src, std::uint64_t tag,
+                    std::shared_ptr<EventMachine> machine) {
+    const ChannelKey key{dst, src, tag};
+    Channel* const channel = channels.find(key);
+    if (channel == nullptr || channel->mail.empty()) {
+      channels[key].waiters.push(waiter_nodes,
+                                 WaiterNode{Waiter{std::move(machine), {}}});
+      return;
     }
+    MsgNode msg = channel->mail.pop(mail_nodes);
+    if (channel->mail.empty()) channels.erase(key);
+    Event event;
+    event.kind = Event::Kind::kResume;
+    event.msg_time = msg.time;
+    event.payload = std::move(msg.payload);
+    event.machine = std::move(machine);
+    push_event_locked(vnow, std::move(event));
+  }
+
+  /// Withdraws a blocking recv()'s waiter that gave up (timeout or
+  /// abort), so it cannot swallow a later matching message.
+  void withdraw_locked(const ChannelKey& key,
+                       const std::shared_ptr<RecvSlot>& slot) {
+    Channel* const channel = channels.find(key);
+    if (channel == nullptr) return;
+    Fifo kept;
+    while (!channel->waiters.empty()) {
+      WaiterNode node = channel->waiters.pop(waiter_nodes);
+      if (node.waiter.slot != slot) kept.push(waiter_nodes, std::move(node));
+    }
+    channel->waiters = kept;
+    if (channel->waiters.empty() && channel->mail.empty()) channels.erase(key);
+  }
+
+  /// Drops the pending receives of every channel `drop(key)` selects,
+  /// erasing channels left empty.
+  template <typename Pred>
+  void drop_waiters_locked(Pred drop) {
+    std::vector<ChannelKey> emptied;
+    channels.for_each([&](const ChannelKey& key, Channel& channel) {
+      if (!drop(key)) return;
+      channel.waiters.clear(waiter_nodes);
+      if (channel.mail.empty()) emptied.push_back(key);
+    });
+    for (const ChannelKey& key : emptied) channels.erase(key);
   }
 
   // --- machines (definitions below EventMachine) ---
 
   void submit_machine_locked(std::shared_ptr<EventMachine> m);
   void schedule_start_locked(int rank, double at);
+  void start_stream_locked(int rank);
   void complete_machine_locked(const std::shared_ptr<EventMachine>& m);
   void fail_machine_locked(const std::shared_ptr<EventMachine>& m,
                            std::exception_ptr error);
   void emit_completion_obs_locked(const EventMachine& m, bool failed);
-  bool wait_for_work(Work* work, std::weak_ptr<EventMachine> machine,
-                     double timeout_seconds_arg);
+  bool wait_for_work(EventMachine& m, double timeout_seconds_arg);
   void abort_locked();
 };
 
@@ -244,7 +540,7 @@ thread_local EventBackend::Impl* EventBackend::Impl::tl_pump = nullptr;
 
 /// Base of every collective state machine: one rank's participation in
 /// one collective. Lives on the rank's stream queue; advanced by
-/// message continuations under the scheduler mutex. `now` is the
+/// message deliveries under the scheduler mutex. `now` is the
 /// machine's local virtual clock (max of its start time and every
 /// message it has consumed), which becomes the op's end time.
 struct EventMachine : std::enable_shared_from_this<EventMachine> {
@@ -252,7 +548,9 @@ struct EventMachine : std::enable_shared_from_this<EventMachine> {
   int rank = 0;
   std::uint64_t tag = 0;
   const char* op_name = "op";
-  WorkPtr work;
+  /// The Work handed to the caller aliases this machine (one
+  /// allocation for both), so a live WorkPtr keeps the machine alive.
+  Work work;
   std::shared_ptr<OpTimes> times;
   double enqueue_time = 0.0;
   double start_time = 0.0;
@@ -265,26 +563,50 @@ struct EventMachine : std::enable_shared_from_this<EventMachine> {
   /// First step; runs under the scheduler mutex at `start_time`.
   virtual void start() = 0;
 
+  /// Continuation of the machine's one outstanding await(); `now` has
+  /// already advanced to the message's arrival. Never called once the
+  /// machine has failed.
+  virtual void on_message(Payload incoming) = 0;
+
   void send(int dst, std::uint64_t wire_tag, Payload payload) {
     b->send_locked(rank, dst, wire_tag, std::move(payload), now);
   }
 
-  /// Registers `fn(payload, time)` for the next (src, wire_tag)
-  /// message; `fn` must advance `now` via consume() and is skipped if
-  /// the machine has failed meanwhile.
-  template <typename Fn>
-  void await(int src, std::uint64_t wire_tag, Fn fn) {
-    b->await_locked(rank, src, wire_tag,
-                    [self = shared_from_this(), fn = std::move(fn)](
-                        Payload payload, double time) mutable {
-                      if (self->failed) return;
-                      self->now = std::max(self->now, time);
-                      fn(std::move(payload));
-                    });
+  /// A payload holding `values`, built in a recycled buffer.
+  Payload copy_of(std::span<const double> values) {
+    Payload payload = b->take_payload();
+    payload.assign(values.begin(), values.end());
+    return payload;
+  }
+
+  /// Hands a consumed payload's buffer back for reuse.
+  void recycle(Payload&& payload) { b->recycle(std::move(payload)); }
+
+  /// Requests on_message() for the next (src, wire_tag) message. A
+  /// machine has at most one await outstanding.
+  void await(int src, std::uint64_t wire_tag) {
+    b->await_locked(rank, src, wire_tag, shared_from_this());
   }
 
   void complete() { b->complete_machine_locked(shared_from_this()); }
 };
+
+void EventBackend::Impl::resume_locked(const Waiter& waiter, Payload payload,
+                                       double time) {
+  if (waiter.slot) {
+    waiter.slot->payload = std::move(payload);
+    waiter.slot->time = time;
+    waiter.slot->filled = true;
+    return;
+  }
+  EventMachine& m = *waiter.machine;
+  if (m.failed) {
+    recycle(std::move(payload));
+    return;
+  }
+  m.now = std::max(m.now, time);
+  m.on_message(std::move(payload));
+}
 
 namespace {
 
@@ -312,38 +634,38 @@ struct RingMachine final : EventMachine {
     advance();
   }
 
+  std::uint64_t wire() const { return phase == 0 ? tag * 2 : tag * 2 + 1; }
+
   void advance() {
-    const bool reduce = phase == 0;
-    const int send_idx = reduce ? (rank - step + 2 * n) % n
-                                : (rank + 1 - step + 2 * n) % n;
-    const std::uint64_t wire = reduce ? tag * 2 : tag * 2 + 1;
+    const int send_idx = phase == 0 ? (rank - step + 2 * n) % n
+                                    : (rank + 1 - step + 2 * n) % n;
     const auto send_seg = segments[static_cast<std::size_t>(send_idx)];
-    send(next, wire,
-         Payload(data.begin() + static_cast<std::ptrdiff_t>(send_seg.offset),
-                 data.begin() + static_cast<std::ptrdiff_t>(send_seg.offset +
-                                                            send_seg.length)));
-    await(prev, wire, [this](Payload incoming) {
-      const int recv_idx = phase == 0 ? (rank - step - 1 + 2 * n) % n
-                                      : (rank - step + 2 * n) % n;
-      const auto recv_seg = segments[static_cast<std::size_t>(recv_idx)];
-      if (phase == 0) {
-        for (std::size_t i = 0; i < recv_seg.length; ++i) {
-          data[recv_seg.offset + i] += incoming[i];
-        }
-      } else {
-        std::copy(incoming.begin(), incoming.end(),
-                  data.begin() + static_cast<std::ptrdiff_t>(recv_seg.offset));
+    send(next, wire(), copy_of(data.subspan(send_seg.offset, send_seg.length)));
+    await(prev, wire());
+  }
+
+  void on_message(Payload incoming) override {
+    const int recv_idx = phase == 0 ? (rank - step - 1 + 2 * n) % n
+                                    : (rank - step + 2 * n) % n;
+    const auto recv_seg = segments[static_cast<std::size_t>(recv_idx)];
+    if (phase == 0) {
+      for (std::size_t i = 0; i < recv_seg.length; ++i) {
+        data[recv_seg.offset + i] += incoming[i];
       }
-      if (++step == n - 1) {
-        if (phase == 1) {
-          complete();
-          return;
-        }
-        phase = 1;
-        step = 0;
+    } else {
+      std::copy(incoming.begin(), incoming.end(),
+                data.begin() + static_cast<std::ptrdiff_t>(recv_seg.offset));
+    }
+    recycle(std::move(incoming));
+    if (++step == n - 1) {
+      if (phase == 1) {
+        complete();
+        return;
       }
-      advance();
-    });
+      phase = 1;
+      step = 0;
+    }
+    advance();
   }
 };
 
@@ -352,6 +674,9 @@ struct TreeMachine final : EventMachine {
   std::span<double> data;
   int n = 0;
   int mask = 1;
+  /// Set once the reduce half is done and the machine awaits its
+  /// parent's broadcast from rank - bcast_mask.
+  int bcast_mask = 0;
 
   void start() override {
     n = b->size;
@@ -365,18 +690,12 @@ struct TreeMachine final : EventMachine {
   void reduce_advance() {
     while (mask < n) {
       if (rank & mask) {
-        send(rank - mask, tag * 2, Payload(data.begin(), data.end()));
+        send(rank - mask, tag * 2, copy_of(data));
         bcast_await();
         return;
       }
       if (rank + mask < n) {
-        await(rank + mask, tag * 2, [this](Payload incoming) {
-          for (std::size_t i = 0; i < data.size(); ++i) {
-            data[i] += incoming[i];
-          }
-          mask <<= 1;
-          reduce_advance();
-        });
+        await(rank + mask, tag * 2);
         return;
       }
       mask <<= 1;
@@ -389,17 +708,26 @@ struct TreeMachine final : EventMachine {
   void bcast_await() {
     int m = 1;
     while (m < n && !(rank & m)) m <<= 1;
-    await(rank - m, tag * 2 + 1, [this, m](Payload incoming) {
-      std::copy(incoming.begin(), incoming.end(), data.begin());
-      bcast_forward(m >> 1);
-    });
+    bcast_mask = m;
+    await(rank - m, tag * 2 + 1);
+  }
+
+  void on_message(Payload incoming) override {
+    if (bcast_mask == 0) {
+      for (std::size_t i = 0; i < data.size(); ++i) data[i] += incoming[i];
+      recycle(std::move(incoming));
+      mask <<= 1;
+      reduce_advance();
+      return;
+    }
+    std::copy(incoming.begin(), incoming.end(), data.begin());
+    recycle(std::move(incoming));
+    bcast_forward(bcast_mask >> 1);
   }
 
   void bcast_forward(int m) {
     for (; m > 0; m >>= 1) {
-      if (rank + m < n) {
-        send(rank + m, tag * 2 + 1, Payload(data.begin(), data.end()));
-      }
+      if (rank + m < n) send(rank + m, tag * 2 + 1, copy_of(data));
     }
     complete();
   }
@@ -409,7 +737,7 @@ struct TreeMachine final : EventMachine {
 struct BcastMachine final : EventMachine {
   std::vector<double>* data = nullptr;
   int root = 0;
-  int n = 0, relative = 0;
+  int n = 0, relative = 0, recv_mask = 0;
 
   void start() override {
     n = b->size;
@@ -424,20 +752,20 @@ struct BcastMachine final : EventMachine {
       forward(m >> 1);
       return;
     }
-    int m = 1;
-    while (m < n && !(relative & m)) m <<= 1;
-    const int src = (relative - m + root) % n;
-    await(src, tag, [this, m](Payload incoming) {
-      *data = std::move(incoming);
-      forward(m >> 1);
-    });
+    recv_mask = 1;
+    while (recv_mask < n && !(relative & recv_mask)) recv_mask <<= 1;
+    await((relative - recv_mask + root) % n, tag);
+  }
+
+  void on_message(Payload incoming) override {
+    data->assign(incoming.begin(), incoming.end());
+    recycle(std::move(incoming));
+    forward(recv_mask >> 1);
   }
 
   void forward(int m) {
     for (; m > 0; m >>= 1) {
-      if (relative + m < n) {
-        send((relative + m + root) % n, tag, Payload(*data));
-      }
+      if (relative + m < n) send((relative + m + root) % n, tag, copy_of(*data));
     }
     complete();
   }
@@ -466,17 +794,20 @@ struct GatherMachine final : EventMachine {
   }
 
   void advance() {
-    send(next, tag, Payload(current));
-    await(prev, tag, [this](Payload incoming) {
-      current = std::move(incoming);
-      const int origin = (rank - step - 1 + 2 * n) % n;
-      parts[static_cast<std::size_t>(origin)] = current;
-      if (++step == n - 1) {
-        assemble();
-      } else {
-        advance();
-      }
-    });
+    send(next, tag, copy_of(current));
+    await(prev, tag);
+  }
+
+  void on_message(Payload incoming) override {
+    current.swap(incoming);
+    recycle(std::move(incoming));
+    const int origin = (rank - step - 1 + 2 * n) % n;
+    parts[static_cast<std::size_t>(origin)] = current;
+    if (++step == n - 1) {
+      assemble();
+    } else {
+      advance();
+    }
   }
 
   void assemble() {
@@ -484,6 +815,9 @@ struct GatherMachine final : EventMachine {
     for (const auto& part : parts) {
       out->insert(out->end(), part.begin(), part.end());
     }
+    // The caller's WorkPtr keeps this machine alive; drop the copies.
+    parts = {};
+    current = {};
     complete();
   }
 };
@@ -495,19 +829,20 @@ struct GatherMachine final : EventMachine {
 void EventBackend::Impl::submit_machine_locked(
     std::shared_ptr<EventMachine> m) {
   if (aborted.load(std::memory_order_acquire)) {
-    m->work->finish(std::make_exception_ptr(
+    m->work.finish(std::make_exception_ptr(
         CommAbortedError("submit: process group aborted")));
     return;
   }
-  Work* const raw = m->work.get();
-  m->work->set_wait_hook(
-      [this, raw, weak = std::weak_ptr<EventMachine>(m)](double timeout) {
-        return wait_for_work(raw, weak, timeout);
-      });
+  // Two raw pointers fit std::function's inline buffer: no allocation.
+  // `machine` stays valid while the hook can run -- only through a live
+  // WorkPtr, which aliases the machine.
+  m->work.set_wait_hook([this, machine = m.get()](double timeout) {
+    return wait_for_work(*machine, timeout);
+  });
   const std::size_t r = static_cast<std::size_t>(m->rank);
   if (dead[r]) {
     m->failed = true;
-    m->work->finish(std::make_exception_ptr(CommError(
+    m->work.finish(std::make_exception_ptr(CommError(
         "rank " + std::to_string(m->rank) + " failed (injected fault)")));
     return;
   }
@@ -519,20 +854,44 @@ void EventBackend::Impl::submit_machine_locked(
 }
 
 void EventBackend::Impl::schedule_start_locked(int rank, double at) {
-  push_event_locked(at, [this, rank] {
-    auto& stream = streams[static_cast<std::size_t>(rank)];
-    if (stream.empty()) return;
-    const std::shared_ptr<EventMachine> m = stream.front();
-    if (m->started || m->failed) return;
-    m->started = true;
-    m->start_time = m->now = std::max(vnow, m->enqueue_time);
-    m->start();
-  });
+  Event event;
+  event.kind = Event::Kind::kStart;
+  event.dst = rank;
+  push_event_locked(at, std::move(event));
+}
+
+void EventBackend::Impl::start_stream_locked(int rank) {
+  auto& stream = streams[static_cast<std::size_t>(rank)];
+  if (stream.empty()) return;
+  const std::shared_ptr<EventMachine> m = stream.front();
+  if (m->started || m->failed) return;
+  m->started = true;
+  m->start_time = m->now = std::max(vnow, m->enqueue_time);
+  m->start();
+}
+
+void EventBackend::Impl::dispatch_locked(Event& event) {
+  switch (event.kind) {
+    case Event::Kind::kTask:
+      event.task();
+      return;
+    case Event::Kind::kDeliver:
+      deliver_locked(event.dst, event.src, event.tag, std::move(event.payload),
+                     vnow);
+      return;
+    case Event::Kind::kResume:
+      resume_locked(Waiter{std::move(event.machine), {}},
+                    std::move(event.payload), event.msg_time);
+      return;
+    case Event::Kind::kStart:
+      start_stream_locked(event.dst);
+      return;
+  }
 }
 
 void EventBackend::Impl::complete_machine_locked(
     const std::shared_ptr<EventMachine>& m) {
-  if (m->failed || m->work->is_completed()) return;
+  if (m->failed || m->work.is_completed()) return;
   const std::size_t r = static_cast<std::size_t>(m->rank);
   vclock[r] = std::max(vclock[r], m->now);
   if (m->times) {
@@ -540,7 +899,7 @@ void EventBackend::Impl::complete_machine_locked(
     m->times->end_seconds = m->now;
   }
   emit_completion_obs_locked(*m, /*failed=*/false);
-  m->work->finish(nullptr);
+  m->work.finish(nullptr);
   auto& stream = streams[r];
   if (!stream.empty() && stream.front().get() == m.get()) {
     stream.pop_front();
@@ -552,9 +911,9 @@ void EventBackend::Impl::fail_machine_locked(
     const std::shared_ptr<EventMachine>& m, std::exception_ptr error) {
   if (m->failed) return;
   m->failed = true;
-  if (!m->work->is_completed()) {
+  if (!m->work.is_completed()) {
     emit_completion_obs_locked(*m, /*failed=*/true);
-    m->work->finish(std::move(error));
+    m->work.finish(std::move(error));
   }
   auto& stream = streams[static_cast<std::size_t>(m->rank)];
   const auto it = std::find(stream.begin(), stream.end(), m);
@@ -589,29 +948,27 @@ void EventBackend::Impl::emit_completion_obs_locked(const EventMachine& m,
   }
 }
 
-bool EventBackend::Impl::wait_for_work(Work* work,
-                                       std::weak_ptr<EventMachine> machine,
+bool EventBackend::Impl::wait_for_work(EventMachine& m,
                                        double timeout_seconds_arg) {
   if (in_pump()) {
     throw CommError("Work::wait: blocking wait inside an event handler");
   }
   std::unique_lock<std::mutex> lock(mu);
   return pump_until(
-      lock, [&] { return work->is_completed(); }, timeout_seconds_arg,
+      lock, [&] { return m.work.is_completed(); }, timeout_seconds_arg,
       [&] {
         // Group-timeout stall: the machine is stuck awaiting a peer
         // that will never show up -- the event-world analogue of a
         // mailbox recv timing out.
-        if (const auto m = machine.lock()) {
-          fail_machine_locked(
-              m, std::make_exception_ptr(CommTimeoutError(
-                     std::string(m->op_name) + ": rank " +
-                     std::to_string(m->rank) + " timed out after " +
-                     std::to_string(
-                         timeout_seconds.load(std::memory_order_relaxed)) +
-                     "s of scheduler idleness (tag=" + std::to_string(m->tag) +
-                     "); peer dead or hung")));
-        }
+        fail_machine_locked(
+            m.shared_from_this(),
+            std::make_exception_ptr(CommTimeoutError(
+                std::string(m.op_name) + ": rank " + std::to_string(m.rank) +
+                " timed out after " +
+                std::to_string(
+                    timeout_seconds.load(std::memory_order_relaxed)) +
+                "s of scheduler idleness (tag=" + std::to_string(m.tag) +
+                "); peer dead or hung")));
       },
       "wait", -1);
 }
@@ -623,13 +980,15 @@ void EventBackend::Impl::abort_locked() {
   for (auto& stream : streams) {
     for (const auto& m : stream) {
       m->failed = true;
-      if (!m->work->is_completed()) m->work->finish(error);
+      if (!m->work.is_completed()) m->work.finish(error);
     }
     stream.clear();
   }
-  waiters.clear();
-  mail.clear();
+  channels.clear();
+  mail_nodes.clear();
+  waiter_nodes.clear();
   queue.clear();
+  records.clear();
 }
 
 // --- EventBackend public surface ---
@@ -749,40 +1108,36 @@ Payload EventBackend::recv(int dst, int src, std::uint64_t tag,
                     ": blocking recv inside an event handler");
   }
   std::unique_lock<std::mutex> lock(b.mu);
-  const Impl::Key key{dst, src, tag};
-  {
-    const auto it = b.mail.find(key);
-    if (it != b.mail.end() && !it->second.empty()) {
-      Impl::Msg msg = std::move(it->second.front());
-      it->second.pop_front();
-      auto& clock = b.vclock[static_cast<std::size_t>(dst)];
-      clock = std::max(clock, msg.time);
-      return std::move(msg.payload);
-    }
+  const ChannelKey key{dst, src, tag};
+  if (Impl::Channel* const channel = b.channels.find(key);
+      channel != nullptr && !channel->mail.empty()) {
+    Impl::MsgNode msg = channel->mail.pop(b.mail_nodes);
+    if (channel->mail.empty()) b.channels.erase(key);
+    auto& clock = b.vclock[static_cast<std::size_t>(dst)];
+    clock = std::max(clock, msg.time);
+    return std::move(msg.payload);
   }
-  struct Slot {
-    bool filled = false;
-    Payload payload;
-    double time = 0.0;
-  };
-  auto slot = std::make_shared<Slot>();
-  b.waiters[key].push_back([slot](Payload payload, double time) {
-    slot->payload = std::move(payload);
-    slot->time = time;
-    slot->filled = true;
-  });
-  b.pump_until(
-      lock, [&] { return slot->filled; }, /*explicit timeout*/ 0.0,
-      [&] {
-        throw CommTimeoutError(
-            std::string(op) + ": rank " + std::to_string(dst) +
-            " timed out after " +
-            std::to_string(
-                b.timeout_seconds.load(std::memory_order_relaxed)) +
-            "s waiting for message (src=" + std::to_string(src) +
-            ", tag=" + std::to_string(tag) + "); peer dead or hung");
-      },
-      op, dst);
+  auto slot = std::make_shared<Impl::RecvSlot>();
+  b.channels[key].waiters.push(b.waiter_nodes,
+                               Impl::WaiterNode{Impl::Waiter{{}, slot}});
+  try {
+    b.pump_until(
+        lock, [&] { return slot->filled; }, /*explicit timeout*/ 0.0,
+        [&] {
+          throw CommTimeoutError(
+              std::string(op) + ": rank " + std::to_string(dst) +
+              " timed out after " +
+              std::to_string(
+                  b.timeout_seconds.load(std::memory_order_relaxed)) +
+              "s waiting for message (src=" + std::to_string(src) +
+              ", tag=" + std::to_string(tag) + "); peer dead or hung");
+        },
+        op, dst);
+  } catch (...) {
+    // A receive that gave up must not consume a later message.
+    b.withdraw_locked(key, slot);
+    throw;
+  }
   auto& clock = b.vclock[static_cast<std::size_t>(dst)];
   clock = std::max(clock, slot->time);
   return std::move(slot->payload);
@@ -868,10 +1223,9 @@ WorkPtr launch_machine(EventBackend::Impl& b, int rank, std::uint64_t tag,
   m->rank = rank;
   m->tag = tag;
   m->op_name = op_name;
-  m->work = std::make_shared<Work>();
   m->times = std::move(times);
   init(*m);
-  WorkPtr work = m->work;
+  WorkPtr work(m, &m->work);
   if (b.in_pump()) {
     b.submit_machine_locked(std::move(m));
   } else {
@@ -931,12 +1285,12 @@ void EventBackend::post(int rank, double vtime, std::function<void()> fn) {
   if (rank < 0 || rank >= b.size) throw CommError("post: bad rank");
   if (aborted()) throw CommAbortedError("post: process group aborted");
   if (b.in_pump()) {
-    b.push_event_locked(vtime, std::move(fn));
+    b.push_task_locked(vtime, std::move(fn));
     return;
   }
   {
     std::lock_guard<std::mutex> lock(b.mu);
-    b.push_event_locked(vtime, std::move(fn));
+    b.push_task_locked(vtime, std::move(fn));
   }
   b.cv.notify_all();
 }
@@ -957,18 +1311,16 @@ void EventBackend::inject_fault(int rank, double vtime) {
         "rank " + std::to_string(rank) + " failed (injected fault)"));
     for (const auto& m : doomed) b.fail_machine_locked(m, error);
     // The dead rank's pending receives will never fire; drop them.
-    for (auto it = b.waiters.begin(); it != b.waiters.end();) {
-      it = std::get<0>(it->first) == rank ? b.waiters.erase(it)
-                                          : std::next(it);
-    }
+    b.drop_waiters_locked(
+        [rank](const ChannelKey& key) { return key.dst == rank; });
   };
   if (b.in_pump()) {
-    b.push_event_locked(vtime, fault);
+    b.push_task_locked(vtime, fault);
     return;
   }
   {
     std::lock_guard<std::mutex> lock(b.mu);
-    b.push_event_locked(vtime, fault);
+    b.push_task_locked(vtime, fault);
   }
   b.cv.notify_all();
 }
@@ -996,7 +1348,11 @@ EventStats EventBackend::run_until_idle() {
                "collective")));
     ++stats.works_stranded;
   }
-  b.waiters.clear();
+  // Counted before the stranded receives are dropped: a channel is
+  // erased as soon as both its FIFOs drain, so every entry left holds
+  // an undelivered message or a receive that will never be matched.
+  stats.open_channels = b.channels.size();
+  b.drop_waiters_locked([](const ChannelKey&) { return true; });
   stats.events_processed = b.events;
   stats.virtual_time = b.vnow;
   lock.unlock();

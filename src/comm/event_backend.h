@@ -57,6 +57,10 @@ struct EventStats {
   std::uint64_t events_processed = 0;
   double virtual_time = 0.0;       ///< scheduler clock, seconds
   std::size_t works_stranded = 0;  ///< failed by this run_until_idle()
+  /// (dst, src, tag) channels still holding undelivered messages or
+  /// unmatched receives once this run_until_idle() ran the queue dry
+  /// (the drain then drops the receives). 0 after a clean round.
+  std::size_t open_channels = 0;
 };
 
 class EventBackend final : public Backend {

@@ -299,6 +299,22 @@ TEST(EventBackend, GroupTimeoutSurfacesAsCommTimeoutError) {
   EXPECT_THROW(work->wait(), CommTimeoutError);
 }
 
+TEST(BackendParity, RecvAfterTimeoutGetsLateMessage) {
+  // A timed-out recv must not leave a waiter behind that swallows the
+  // next matching message: the retry sees the late send on both
+  // backends.
+  for (const BackendKind kind : {BackendKind::kThread, BackendKind::kEvent}) {
+    ProcessGroup group = make_group(kind, 2, /*timeout=*/0.05);
+    Communicator comm0 = group.communicator(0);
+    Communicator comm1 = group.communicator(1);
+    EXPECT_THROW(comm1.recv(0, 7), CommTimeoutError)
+        << "backend " << static_cast<int>(kind);
+    comm0.send(1, 7, {42.0});
+    EXPECT_EQ(comm1.recv(0, 7), std::vector<double>{42.0})
+        << "backend " << static_cast<int>(kind);
+  }
+}
+
 TEST(EventBackend, BarrierTimesOutWhenARankNeverArrives) {
   ProcessGroup group = make_group(BackendKind::kEvent, 3, /*timeout=*/0.05);
   Communicator comm = group.communicator(0);

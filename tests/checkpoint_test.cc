@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -25,29 +24,12 @@
 #include "sim/cluster.h"
 #include "sim/cluster_factory.h"
 #include "workloads/registry.h"
+#include "temp_dir.h"
 
 namespace {
 
 using namespace cannikin;
-namespace fs = std::filesystem;
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& stem) {
-    path_ = fs::temp_directory_path() /
-            (stem + "-" + std::to_string(::getpid()));
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  std::string str() const { return path_.string(); }
-
- private:
-  fs::path path_;
-};
+using test::TempDir;
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -1,0 +1,194 @@
+// Event-engine pins: the exact schedule of a 1024-rank bucketed tree
+// round (event count, virtual end time, reduced sums) on a clean and on
+// a lossy fabric, plus the channel-table bookkeeping of a long-lived
+// group. The golden values were captured on the std::function /
+// std::map engine that preceded the typed-record engine, so any change
+// to the (time, seq) pop order, the event count or the delivery plan
+// shows up here as a mismatch.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "comm/collectives.h"
+#include "comm/event_backend.h"
+#include "comm/process_group.h"
+#include "comm/tag_allocator.h"
+#include "comm/work.h"
+#include "sim/cluster_factory.h"
+
+namespace cannikin::comm {
+namespace {
+
+constexpr int kRanks = 1024;
+constexpr int kBuckets = 4;
+constexpr std::size_t kElements = 64;
+
+struct RoundResult {
+  EventStats stats;
+  RetryStats retry;
+  std::size_t completed = 0;  ///< works that finished without error
+  long exact = 0;             ///< elements equal to the serial sum
+  double checksum = 0.0;      ///< sum of every element on every rank
+};
+
+// Small integers: every partial sum is exact in double, so a completed
+// rank holds exactly the serial sum regardless of reduction order.
+double element(int rank, int bucket, std::size_t e) {
+  return static_cast<double>((rank * 31 + bucket * 7 + static_cast<int>(e)) %
+                             16);
+}
+
+/// One bucketed tree round at 1024 ranks on the two-speed cluster's
+/// fabric. Rank r joins at a fixed, scattered virtual time. A negative
+/// `fault_rank` skips the injected fault.
+RoundResult run_round(const GroupOptions& options, int fault_rank,
+                      double fault_time) {
+  ProcessGroup group(options);
+  EventBackend* backend = group.event_backend();
+  std::vector<std::vector<double>> data(
+      static_cast<std::size_t>(kRanks) * kBuckets,
+      std::vector<double>(kElements));
+  std::vector<double> expected(static_cast<std::size_t>(kBuckets) * kElements);
+  for (int rank = 0; rank < kRanks; ++rank) {
+    for (int b = 0; b < kBuckets; ++b) {
+      for (std::size_t e = 0; e < kElements; ++e) {
+        data[static_cast<std::size_t>(rank * kBuckets + b)][e] =
+            element(rank, b, e);
+        expected[static_cast<std::size_t>(b) * kElements + e] +=
+            element(rank, b, e);
+      }
+    }
+  }
+  std::vector<WorkPtr> works(data.size());
+  for (int rank = 0; rank < kRanks; ++rank) {
+    const double join = static_cast<double>((rank * 37) % 101) * 1e-6;
+    backend->post(rank, join, [&, rank] {
+      Communicator comm = group.communicator(rank);
+      for (int b = 0; b < kBuckets; ++b) {
+        const auto slot = static_cast<std::size_t>(rank * kBuckets + b);
+        works[slot] = async_tree_all_reduce(
+            comm, data[slot], comm.tags().next(CollectiveKind::kAllReduce));
+      }
+    });
+  }
+  if (fault_rank >= 0) backend->inject_fault(fault_rank, fault_time);
+
+  RoundResult result;
+  result.stats = backend->run_until_idle();
+  result.retry = group.retry_stats();
+  for (std::size_t slot = 0; slot < data.size(); ++slot) {
+    const WorkPtr& work = works[slot];
+    if (work && work->is_completed() && work->exception() == nullptr) {
+      ++result.completed;
+    }
+    const std::size_t b = slot % kBuckets;
+    for (std::size_t e = 0; e < kElements; ++e) {
+      result.exact += data[slot][e] == expected[b * kElements + e];
+      result.checksum += data[slot][e];
+    }
+  }
+  return result;
+}
+
+GroupOptions two_speed_options() {
+  GroupOptions options;
+  options.size = kRanks;
+  options.backend = BackendKind::kEvent;
+  options.fabric =
+      sim::FabricModel::from_network(sim::two_speed_cluster(kRanks, 2).network);
+  return options;
+}
+
+// Golden values: captured on the parent engine before the rewrite.
+// Virtual times are compared bitwise (hex literals), not within a
+// tolerance: the engine must replay the identical (time, seq) order.
+TEST(EventEngineSchedule, CleanTreeRoundAtOneThousandRanks) {
+  const RoundResult r = run_round(two_speed_options(), -1, 0.0);
+  EXPECT_EQ(r.stats.events_processed, 13506u);
+  EXPECT_EQ(r.stats.virtual_time, 0x1.0d56772776334p-8);
+  EXPECT_EQ(r.stats.works_stranded, 0u);
+  EXPECT_EQ(r.completed, static_cast<std::size_t>(kRanks) * kBuckets);
+  EXPECT_EQ(r.exact, static_cast<long>(kRanks) * kBuckets *
+                         static_cast<long>(kElements));
+  EXPECT_EQ(r.checksum, 0x1.ep+30);
+  EXPECT_EQ(r.retry.messages, 8184u);
+  EXPECT_EQ(r.retry.resends, 0u);
+}
+
+TEST(EventEngineSchedule, LossyTreeRoundWithMidRoundFault) {
+  // 5% per-attempt drops under a three-attempt retry budget (one
+  // message exhausts it), and rank 300 dies at 2 ms, about halfway
+  // through the round: half the buckets finish, the rest strand.
+  GroupOptions options = two_speed_options();
+  options.fabric.faults.enabled = true;
+  options.fabric.faults.drop_probability = 0.05;
+  options.fabric.faults.seed = 1;
+  options.retry.max_attempts = 3;
+  options.retry.backoff_initial_seconds = 2e-5;
+  options.retry.seed = 9;
+  const RoundResult r = run_round(options, 300, 2e-3);
+  EXPECT_EQ(r.stats.events_processed, 9399u);
+  EXPECT_EQ(r.stats.virtual_time, 0x1.47e0a5b777865p-9);
+  EXPECT_EQ(r.stats.works_stranded, 2046u);
+  EXPECT_EQ(r.completed, 2048u);
+  EXPECT_EQ(r.exact, 131072);
+  EXPECT_EQ(r.checksum, 0x1.e14a2dp+29);
+  EXPECT_EQ(r.retry.messages, 5106u);
+  EXPECT_EQ(r.retry.resends, 279u);
+  EXPECT_EQ(r.retry.dropped, 1u);
+}
+
+TEST(EventEngineChannels, LongLivedGroupClosesEveryChannel) {
+  // Every (dst, src, tag) channel must close once its message meets its
+  // receive, or a long-lived group grows one channel per tag it ever
+  // used. Scattered joins exercise both orders: message first (mailbox)
+  // and receive first (waiter).
+  constexpr int kSmall = 64;
+  GroupOptions options;
+  options.size = kSmall;
+  options.backend = BackendKind::kEvent;
+  options.fabric = sim::FabricModel::uniform_latency(1e-6);
+  ProcessGroup group(options);
+  EventBackend* backend = group.event_backend();
+  std::vector<std::vector<double>> data(kSmall);
+  for (int round = 0; round < 1000; ++round) {
+    const double start = backend->virtual_now();
+    for (int rank = 0; rank < kSmall; ++rank) {
+      const auto r = static_cast<std::size_t>(rank);
+      data[r] = {static_cast<double>(rank), 1.0};
+      const double join = start + static_cast<double>((rank * 7) % 13) * 1e-6;
+      backend->post(rank, join, [&group, &data, rank, r] {
+        Communicator comm = group.communicator(rank);
+        async_tree_all_reduce(comm, data[r],
+                              comm.tags().next(CollectiveKind::kAllReduce));
+      });
+    }
+    const EventStats stats = backend->run_until_idle();
+    ASSERT_EQ(stats.works_stranded, 0u) << "round " << round;
+    ASSERT_EQ(stats.open_channels, 0u) << "round " << round;
+    ASSERT_EQ(data[kSmall - 1],
+              (std::vector<double>{kSmall * (kSmall - 1) / 2.0, kSmall}))
+        << "round " << round;
+  }
+}
+
+TEST(EventEngineChannels, UnmatchedMessagesStayOpenAcrossTheDrain) {
+  // A message nobody receives keeps its channel open (and countable);
+  // receiving it later closes the channel.
+  GroupOptions options;
+  options.size = 2;
+  options.backend = BackendKind::kEvent;
+  ProcessGroup group(options);
+  EventBackend* backend = group.event_backend();
+  group.communicator(0).send(1, 5, {1.5});
+  group.communicator(0).send(1, 6, {2.5});
+  EXPECT_EQ(backend->run_until_idle().open_channels, 2u);
+  EXPECT_EQ(group.communicator(1).recv(0, 6), std::vector<double>{2.5});
+  EXPECT_EQ(backend->run_until_idle().open_channels, 1u);
+  EXPECT_EQ(group.communicator(1).recv(0, 5), std::vector<double>{1.5});
+  EXPECT_EQ(backend->run_until_idle().open_channels, 0u);
+}
+
+}  // namespace
+}  // namespace cannikin::comm

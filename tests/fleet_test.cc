@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -20,11 +19,10 @@
 #include "sched/supervisor.h"
 #include "sim/cluster_factory.h"
 #include "workloads/registry.h"
+#include "temp_dir.h"
 
 namespace cannikin::sched {
 namespace {
-
-namespace fs = std::filesystem;
 
 // ------------------------------------------------------------ Allocation
 
@@ -296,19 +294,8 @@ TEST(FleetFifo, QueuesBehindTheHeadAndNeverPreempts) {
 
 class FleetPreemption : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("cannikin-fleet-test-" +
-             std::to_string(
-                 ::testing::UnitTest::GetInstance()->random_seed())))
-               .string();
-    fs::remove_all(dir_);
-  }
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  std::string dir_;
+  test::TempDir temp_{"cannikin-fleet-test"};
+  const std::string dir_ = temp_.str();
 };
 
 TEST_F(FleetPreemption, SupervisorResumeIsWarmAndCountsAsPreemption) {

@@ -8,9 +8,6 @@
 // recovery_metrics window clamp.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -23,31 +20,15 @@
 #include "sim/cluster_factory.h"
 #include "sim/faults.h"
 #include "workloads/registry.h"
+#include "temp_dir.h"
 
 namespace {
 
 using namespace cannikin;
-namespace fs = std::filesystem;
 
 constexpr int kMaxEpochs = 400;
 
-class TempDir {
- public:
-  explicit TempDir(const std::string& stem) {
-    path_ = fs::temp_directory_path() /
-            (stem + "-" + std::to_string(::getpid()));
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  std::string str() const { return path_.string(); }
-
- private:
-  fs::path path_;
-};
+using test::TempDir;
 
 sched::TrainingSupervisor make_supervisor(const std::string& dir,
                                           sched::SupervisorOptions options =
