@@ -12,10 +12,31 @@
 // A100s to the compute-hungry job.
 #include "bench_common.h"
 
-#include "sched/multi_job_sim.h"
+#include "sched/fleet.h"
+
+namespace {
+
+using namespace cannikin;
+
+/// Submits every job at t = 0 and runs the fleet to completion.
+sched::FleetResult run_fleet(
+    std::unique_ptr<sched::SchedulingPolicy> policy,
+    const std::vector<const workloads::Workload*>& jobs) {
+  sched::FleetOptions options;
+  options.seed = 31;
+  sched::FleetSim fleet(sim::cluster_b(), std::move(policy), options);
+  for (const workloads::Workload* workload : jobs) {
+    sched::JobSpec spec;
+    spec.name = workload->name;
+    spec.workload = workload;
+    fleet.submit(std::move(spec));
+  }
+  return fleet.run();
+}
+
+}  // namespace
 
 int main() {
-  using namespace cannikin;
   using namespace cannikin::bench;
 
   experiments::print_banner(
@@ -27,15 +48,12 @@ int main() {
       &workloads::by_name("cifar10"),
   };
 
-  sched::MultiJobOptions goodput;
-  goodput.policy = sched::AllocationPolicy::kGoodputScheduler;
-  goodput.seed = 31;
-  const auto smart = sched::run_multi_job(sim::cluster_b(), jobs, goodput);
-
-  sched::MultiJobOptions fixed;
-  fixed.policy = sched::AllocationPolicy::kStaticPartition;
-  fixed.seed = 31;
-  const auto naive = sched::run_multi_job(sim::cluster_b(), jobs, fixed);
+  const auto smart = run_fleet(
+      std::make_unique<sched::GoodputGreedyPolicy>(sim::cluster_b()), jobs);
+  const auto naive = run_fleet(
+      std::make_unique<sched::StaticPartitionPolicy>(
+          sim::cluster_b().size(), static_cast<int>(jobs.size())),
+      jobs);
 
   experiments::TablePrinter table({"job", "goodput-sched(s)", "static(s)",
                                    "epochs(goodput)", "reallocations"});
@@ -50,8 +68,8 @@ int main() {
   table.print();
   std::printf("\nmakespan: goodput=%.1fs static=%.1fs  mean completion: "
               "%.1fs vs %.1fs\n",
-              smart.makespan, naive.makespan, smart.mean_completion,
-              naive.mean_completion);
+              smart.makespan, naive.makespan, smart.mean_jct,
+              naive.mean_jct);
 
   shape_check(smart.makespan < naive.makespan,
               "goodput scheduling with heterogeneous per-job mixes "

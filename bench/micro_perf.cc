@@ -154,7 +154,7 @@ void BM_OverlapSyncBackwardThenReduce(benchmark::State& state) {
       comm::make_buckets(kOverlapBuckets * kOverlapElems, kOverlapElems);
   for (auto _ : state) {
     comm::ProcessGroup group(kOverlapRanks);
-    group.set_link_latency(kOverlapLinkLatency);
+    group.set_fabric(sim::FabricModel::uniform_latency(kOverlapLinkLatency));
     std::vector<std::thread> threads;
     for (int rank = 0; rank < kOverlapRanks; ++rank) {
       threads.emplace_back([&, rank] {
@@ -188,7 +188,7 @@ void BM_OverlapAsyncBucketReducer(benchmark::State& state) {
       comm::make_buckets(kOverlapBuckets * kOverlapElems, kOverlapElems);
   for (auto _ : state) {
     comm::ProcessGroup group(kOverlapRanks);
-    group.set_link_latency(kOverlapLinkLatency);
+    group.set_fabric(sim::FabricModel::uniform_latency(kOverlapLinkLatency));
     std::vector<std::thread> threads;
     for (int rank = 0; rank < kOverlapRanks; ++rank) {
       threads.emplace_back([&, rank] {
@@ -251,7 +251,7 @@ double run_overlap_seconds(bool async, obs::Scope scope) {
   const auto buckets =
       comm::make_buckets(kOverlapBuckets * kOverlapElems, kOverlapElems);
   comm::ProcessGroup group(kOverlapRanks);
-  group.set_link_latency(kOverlapLinkLatency);
+  group.set_fabric(sim::FabricModel::uniform_latency(kOverlapLinkLatency));
   if (scope.enabled()) group.set_scope(scope);
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;

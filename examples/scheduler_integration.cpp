@@ -5,8 +5,10 @@
 //
 //   build/examples/scheduler_integration
 #include <cstdio>
+#include <memory>
+#include <utility>
 
-#include "sched/multi_job_sim.h"
+#include "sched/fleet.h"
 #include "sim/cluster_factory.h"
 #include "workloads/registry.h"
 
@@ -22,17 +24,28 @@ int main() {
               "RTX6000)\n\n",
               jobs.size());
 
-  for (const auto policy : {sched::AllocationPolicy::kGoodputScheduler,
-                            sched::AllocationPolicy::kStaticPartition}) {
-    sched::MultiJobOptions options;
-    options.policy = policy;
+  for (const bool goodput : {true, false}) {
+    std::unique_ptr<sched::SchedulingPolicy> policy;
+    if (goodput) {
+      policy = std::make_unique<sched::GoodputGreedyPolicy>(sim::cluster_b());
+    } else {
+      policy = std::make_unique<sched::StaticPartitionPolicy>(
+          sim::cluster_b().size(), static_cast<int>(jobs.size()));
+    }
+    sched::FleetOptions options;
     options.seed = 5;
-    const auto result = sched::run_multi_job(sim::cluster_b(), jobs, options);
+    sched::FleetSim fleet(sim::cluster_b(), std::move(policy), options);
+    for (const workloads::Workload* workload : jobs) {
+      sched::JobSpec spec;
+      spec.name = workload->name;
+      spec.workload = workload;
+      fleet.submit(std::move(spec));
+    }
+    const sched::FleetResult result = fleet.run();
 
-    std::printf("%s:\n",
-                policy == sched::AllocationPolicy::kGoodputScheduler
-                    ? "goodput scheduler (heterogeneous mixes, elastic)"
-                    : "static equal partition");
+    std::printf("%s:\n", goodput
+                             ? "goodput scheduler (heterogeneous mixes, elastic)"
+                             : "static equal partition");
     for (const auto& outcome : result.jobs) {
       std::printf("  %-10s done in %8.1f s  (%d epochs, %d reallocations, "
                   "%d warm starts)\n",
@@ -41,7 +54,7 @@ int main() {
                   outcome.warm_reallocations);
     }
     std::printf("  makespan %.1f s, mean completion %.1f s\n\n",
-                result.makespan, result.mean_completion);
+                result.makespan, result.mean_jct);
   }
   std::printf(
       "The goodput scheduler hands the A100s to the compute-hungry job\n"

@@ -1,4 +1,5 @@
-// Records one AdaptiveTrainer run with the observability layer on and
+// Records a few epochs of the Cannikin loop on real threads
+// (CannikinSystem + RealTrainingDriver) with the observability layer on and
 // writes a Chrome trace_event JSON timeline:
 //
 //   build/examples/trace_adaptive_epoch
@@ -20,9 +21,14 @@
 // counters, controller planning cost) are written alongside as
 // BENCH_trace_adaptive_epoch.json.
 #include <cstdio>
+#include <memory>
+#include <vector>
 
-#include "dnn/adaptive_trainer.h"
+#include "core/controller.h"
 #include "dnn/model.h"
+#include "dnn/zoo.h"
+#include "experiments/cannikin_system.h"
+#include "experiments/real_training.h"
 #include "obs/metrics.h"
 #include "obs/scope.h"
 #include "obs/trace.h"
@@ -30,34 +36,45 @@
 int main() {
   using namespace cannikin;
 
-  const auto dataset = dnn::make_gaussian_mixture(
-      /*size=*/3000, /*dim=*/20, /*classes=*/5, /*separation=*/2.4,
-      /*seed=*/3);
+  dnn::ZooEntry entry;
+  entry.workload = "mixture";
+  entry.factory = [] { return dnn::make_mlp(20, 28, 1, 5); };
+  entry.dataset = std::make_shared<dnn::InMemoryDataset>(
+      dnn::make_gaussian_mixture(/*size=*/3000, /*dim=*/20, /*classes=*/5,
+                                 /*separation=*/2.4, /*seed=*/3));
+  entry.base_lr = 0.04;
+  entry.initial_total_batch = 48;
 
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
+  const obs::Scope scope(&tracer, &metrics);
 
-  dnn::AdaptiveTrainerOptions options;
-  options.num_nodes = 3;
-  options.throttles = {1, 2, 4};  // unequal workers: visible row widths
-  options.initial_total_batch = 48;
-  options.max_total_batch = 192;
-  options.base_lr = 0.04;
-  options.seed = 9;
-  options.bucket_capacity = 256;  // several buckets per sync -> overlap
-  options.obs = obs::Scope(&tracer, &metrics);
+  // The controller records its decisions on its own timeline row.
+  core::ControllerOptions controller;
+  controller.initial_total_batch = 48;
+  controller.max_total_batch = 192;
+  controller.drift_threshold = 1.0;
+  controller.obs = scope.for_rank(obs::kControllerTid);
+  experiments::CannikinSystem system(
+      3, std::vector<double>(3, static_cast<double>(entry.dataset->size())),
+      controller);
 
-  dnn::AdaptiveTrainer trainer(
-      &dataset, [] { return dnn::make_mlp(20, 28, 1, 5); }, options);
+  dnn::TrainerOptions base;
+  base.throttles = {1, 2, 4};  // unequal workers: visible row widths
+  base.seed = 9;
+  base.bucket_capacity = 256;  // several buckets per sync -> overlap
+  base.obs = scope;
+  experiments::RealTrainingDriver driver(&system, entry, 3, base);
 
   // A few epochs so the controller graduates from bootstrap probing to
   // model-based planning: the later batch_decision events carry a real
   // predicted_batch_time for the model_refit events to compare against.
   for (int epoch = 0; epoch < 4; ++epoch) {
-    const auto report = trainer.run_epoch();
-    std::printf("epoch %d: B=%-4d loss=%.4f %s\n", report.epoch,
-                report.total_batch, report.mean_loss,
-                report.planned_from_model ? "(OptPerf plan)" : "(bootstrap)");
+    const bool from_model = system.controller().model_ready();
+    const auto row = driver.run_epoch();
+    std::printf("epoch %d: B=%-4d loss=%.4f %s\n", row.epoch,
+                row.total_batch, row.mean_loss,
+                from_model ? "(OptPerf plan)" : "(bootstrap)");
   }
 
   tracer.write_json("trace_adaptive_epoch.json");

@@ -46,11 +46,6 @@ void ProcessGroup::set_timeout(double timeout_seconds) {
 
 double ProcessGroup::timeout() const { return backend_->timeout(); }
 
-void ProcessGroup::set_link_latency(double seconds) {
-  backend_->set_fabric(seconds > 0.0 ? sim::FabricModel::uniform_latency(seconds)
-                                     : sim::FabricModel{});
-}
-
 void ProcessGroup::set_fabric(const sim::FabricModel& fabric) {
   backend_->set_fabric(fabric);
 }

@@ -17,7 +17,7 @@
 // the async_* collectives (collectives.h) behave identically, message
 // tags come from the per-rank deterministic TagAllocator either way,
 // and the same sim::FabricModel supplies delivery delays to both
-// backends (set_fabric / legacy set_link_latency).
+// backends (set_fabric).
 //
 // Fault tolerance (mirroring the NCCL watchdog / comm-abort protocol
 // real DDP relies on): the group carries an optional timeout applied to
@@ -70,12 +70,6 @@ class ProcessGroup {
   /// worker threads that drive the communicators.
   void set_timeout(double timeout_seconds);
   double timeout() const;
-
-  /// Legacy single-knob latency: shorthand for a uniform-latency
-  /// FabricModel (every delivery between distinct ranks delayed by
-  /// exactly `seconds`, independent of message size). Set before
-  /// spawning the worker threads. <= 0 disables delays.
-  void set_link_latency(double seconds);
 
   /// Full per-pair network model shared by both backends (latency +
   /// bytes/bandwidth, intra-server links via FabricModel::groups,

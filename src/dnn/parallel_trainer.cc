@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <ctime>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -26,14 +27,29 @@ double seconds_since(Clock::time_point begin) {
   return std::chrono::duration<double>(Clock::now() - begin).count();
 }
 
+// Per-thread CPU time for the a/P compute measurements. On this
+// in-process testbed many ranks share a few physical cores, so wall
+// clock charges a rank for time spent descheduled while its peers
+// compute -- a bias, not just jitter, that corrupts a planner's
+// learned q/k slopes. Thread CPU time counts only the compute the rank
+// itself performed, which is what wall clock would read on a real
+// deployment where each worker owns its device. Communication phases
+// keep wall clock: waiting is exactly what they measure.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
 double squared_norm(const std::vector<double>& v) {
   double total = 0.0;
   for (double x : v) total += x * x;
   return total;
 }
 
-/// Per-rank wall-clock accumulators; each worker thread writes only its
-/// own slot, so no locking is needed.
+/// Per-rank phase accumulators; each worker thread writes only its own
+/// slot, so no locking is needed.
 struct PhaseAccum {
   double a_seconds = 0.0;
   double p_seconds = 0.0;
@@ -57,6 +73,16 @@ ParallelTrainer::ParallelTrainer(const InMemoryDataset* train,
   }
   if (options_.num_nodes <= 0) {
     throw std::invalid_argument("ParallelTrainer: num_nodes must be > 0");
+  }
+  if (options_.throttles.empty()) {
+    options_.throttles.assign(static_cast<std::size_t>(options_.num_nodes),
+                              1);
+  }
+  if (static_cast<int>(options_.throttles.size()) != options_.num_nodes) {
+    throw std::invalid_argument("ParallelTrainer: throttles size mismatch");
+  }
+  for (int t : options_.throttles) {
+    if (t < 1) throw std::invalid_argument("ParallelTrainer: throttle < 1");
   }
   Model prototype = factory_();
   Rng rng(options_.seed);
@@ -98,9 +124,6 @@ EpochResult ParallelTrainer::run_epoch(const std::vector<int>& local_batches) {
   group_options.fabric = options_.comm_fabric;
   group_options.retry = options_.comm_retry;
   comm::ProcessGroup group(group_options);
-  if (!options_.comm_fabric.enabled && options_.link_latency_seconds > 0.0) {
-    group.set_link_latency(options_.link_latency_seconds);
-  }
   if (options_.obs.enabled()) group.set_scope(options_.obs);
   const auto buckets =
       comm::make_buckets(params_.size(), options_.bucket_capacity);
@@ -126,6 +149,7 @@ EpochResult ParallelTrainer::run_epoch(const std::vector<int>& local_batches) {
     model.set_flat_params(params_);
     Optimizer& optimizer = *optimizers_[static_cast<std::size_t>(rank)];
     PhaseAccum& accum = accums[static_cast<std::size_t>(rank)];
+    const int throttle = options_.throttles[static_cast<std::size_t>(rank)];
     const obs::Scope scope = comm.scope();
     obs::SpanGuard epoch_span;
     if (scope.tracing()) {
@@ -133,7 +157,8 @@ EpochResult ParallelTrainer::run_epoch(const std::vector<int>& local_batches) {
       epoch_span = scope.span("trainer", "epoch",
                               obs::ArgList()
                                   .add("epoch", epoch_)
-                                  .add("num_batches", num_batches));
+                                  .add("num_batches", num_batches)
+                                  .add("throttle", throttle));
     }
 
     // Steady-state buffers: sized once, reused every batch.
@@ -183,7 +208,7 @@ EpochResult ParallelTrainer::run_epoch(const std::vector<int>& local_batches) {
       double local_correct = 0.0;
       double local_norm_sq = 0.0;
       if (local_b > 0) {
-        const auto forward_begin = Clock::now();
+        const double forward_begin = thread_cpu_seconds();
         obs::SpanGuard forward_span;
         if (scope.tracing()) {
           forward_span = scope.span(
@@ -191,9 +216,13 @@ EpochResult ParallelTrainer::run_epoch(const std::vector<int>& local_batches) {
               obs::ArgList().add("batch", batch).add("local_b", local_b));
         }
         const Tensor inputs = train_->gather(indices, kctx.resource());
-        const Tensor outputs = model.forward(inputs);
+        // Throttle reps before the last are pure compute, discarded.
+        Tensor outputs = model.forward(inputs);
+        for (int rep = 1; rep < throttle; ++rep) {
+          outputs = model.forward(inputs);
+        }
         LossResult loss;
-        if (options_.task == Task::kClassification) {
+        if (options_.task == TaskKind::kClassification) {
           const auto labels = train_->gather_labels(indices);
           loss = softmax_cross_entropy(outputs, labels, &kctx);
           local_correct = accuracy(outputs, labels) * local_b;
@@ -206,7 +235,7 @@ EpochResult ParallelTrainer::run_epoch(const std::vector<int>& local_batches) {
           }
         }
         local_loss = loss.value;
-        accum.a_seconds += seconds_since(forward_begin);
+        accum.a_seconds += thread_cpu_seconds() - forward_begin;
         forward_span.close();
 
         // Streamed backward: each layer's gradient range is marked
@@ -214,11 +243,15 @@ EpochResult ParallelTrainer::run_epoch(const std::vector<int>& local_batches) {
         // the comm thread while earlier layers are still
         // backpropagating. The GNS local norm must be read here,
         // before the async reduction scales the range in place.
-        const auto backward_begin = Clock::now();
+        const double backward_begin = thread_cpu_seconds();
         obs::SpanGuard backward_span;
         if (scope.tracing()) {
           backward_span = scope.span("trainer", "backward",
                                      obs::ArgList().add("batch", batch));
+        }
+        for (int rep = 1; rep < throttle; ++rep) {
+          model.backward(loss.grad);
+          model.zero_grads();
         }
         model.backward(
             loss.grad, gradient,
@@ -228,7 +261,7 @@ EpochResult ParallelTrainer::run_epoch(const std::vector<int>& local_batches) {
               }
               reducer.mark_ready(offset, length);
             });
-        accum.p_seconds += seconds_since(backward_begin);
+        accum.p_seconds += thread_cpu_seconds() - backward_begin;
         backward_span.close();
       }
 
@@ -249,7 +282,7 @@ EpochResult ParallelTrainer::run_epoch(const std::vector<int>& local_batches) {
           comm::all_gather(comm, stats, gather_tag);
 
       // Every rank applies the identical update; replicas stay in sync.
-      const auto update_begin = Clock::now();
+      const double update_begin = thread_cpu_seconds();
       obs::SpanGuard update_span;
       if (scope.tracing()) {
         update_span = scope.span("trainer", "update",
@@ -258,7 +291,7 @@ EpochResult ParallelTrainer::run_epoch(const std::vector<int>& local_batches) {
       model.copy_flat_params(local_params);
       optimizer.step(local_params, gradient, lr, &kctx);
       model.set_flat_params(std::span<const double>(local_params));
-      accum.a_seconds += seconds_since(update_begin);
+      accum.a_seconds += thread_cpu_seconds() - update_begin;
       update_span.close();
 
       if (rank == 0) {
@@ -367,6 +400,11 @@ EpochResult ParallelTrainer::run_epoch(const std::vector<int>& local_batches) {
     result.train_accuracy /= result.steps;
   }
   result.gns_after = gns_.gns();
+  if (options_.obs.metrics() != nullptr) {
+    options_.obs.observe("trainer.epoch_seconds", result.epoch_seconds);
+    options_.obs.gauge_set("trainer.total_batch",
+                           static_cast<double>(total_batch));
+  }
   ++epoch_;
   return result;
 }
@@ -391,7 +429,7 @@ double ParallelTrainer::evaluate_accuracy(
     std::span<const std::size_t> slice(indices.data() + begin, end - begin);
     const Tensor outputs =
         model.forward(dataset.gather(slice, kctx.resource()));
-    if (options_.task == Task::kClassification) {
+    if (options_.task == TaskKind::kClassification) {
       const auto labels = dataset.gather_labels(slice);
       correct += accuracy(outputs, labels) * static_cast<double>(slice.size());
     } else {
@@ -424,7 +462,7 @@ double ParallelTrainer::evaluate_loss(const InMemoryDataset& dataset) const {
     const Tensor outputs =
         model.forward(dataset.gather(slice, kctx.resource()));
     LossResult loss;
-    if (options_.task == Task::kClassification) {
+    if (options_.task == TaskKind::kClassification) {
       loss =
           softmax_cross_entropy(outputs, dataset.gather_labels(slice), &kctx);
     } else {

@@ -42,7 +42,7 @@ InMemoryDataset make_mf_id_dataset(std::size_t size, std::size_t num_users,
 ZooEntry make_cifar_standin(std::size_t dataset_size, std::uint64_t seed) {
   ZooEntry entry;
   entry.workload = "cifar10";
-  entry.task = ParallelTrainer::Task::kClassification;
+  entry.task = TaskKind::kClassification;
   entry.factory = [] { return make_cnn(3, 8, 8, 6, 10); };
   entry.dataset = std::make_shared<InMemoryDataset>(
       make_synthetic_images(dataset_size, 3, 8, 8, 10, 0.4, seed));
@@ -55,7 +55,7 @@ ZooEntry make_cifar_standin(std::size_t dataset_size, std::uint64_t seed) {
 ZooEntry make_imagenet_standin(std::size_t dataset_size, std::uint64_t seed) {
   ZooEntry entry;
   entry.workload = "imagenet";
-  entry.task = ParallelTrainer::Task::kClassification;
+  entry.task = TaskKind::kClassification;
   entry.factory = [] {
     // Deeper CNN with max pooling, closer to a residual stem.
     Model model;
@@ -82,7 +82,7 @@ ZooEntry make_imagenet_standin(std::size_t dataset_size, std::uint64_t seed) {
 ZooEntry make_speech_standin(std::size_t dataset_size, std::uint64_t seed) {
   ZooEntry entry;
   entry.workload = "librispeech";
-  entry.task = ParallelTrainer::Task::kClassification;
+  entry.task = TaskKind::kClassification;
   // "Spectrogram" vectors -> phoneme-like classes.
   entry.factory = [] { return make_mlp(40, 48, 2, 12); };
   entry.dataset = std::make_shared<InMemoryDataset>(
@@ -96,7 +96,7 @@ ZooEntry make_speech_standin(std::size_t dataset_size, std::uint64_t seed) {
 ZooEntry make_bert_standin(std::size_t dataset_size, std::uint64_t seed) {
   ZooEntry entry;
   entry.workload = "squad";
-  entry.task = ParallelTrainer::Task::kClassification;
+  entry.task = TaskKind::kClassification;
   entry.factory = [] {
     Model model;
     model.add(std::make_unique<Linear>(32, 32));
@@ -121,7 +121,7 @@ ZooEntry make_neumf_standin(std::size_t dataset_size, std::size_t num_users,
                             std::size_t num_items, std::uint64_t seed) {
   ZooEntry entry;
   entry.workload = "movielens";
-  entry.task = ParallelTrainer::Task::kBinaryRanking;
+  entry.task = TaskKind::kBinaryRanking;
   const std::size_t latent = 8;
   const std::size_t vocab = num_users + num_items;
   entry.factory = [vocab, latent] {

@@ -20,7 +20,7 @@ namespace cannikin::dnn {
 
 struct ZooEntry {
   std::string workload;  ///< Table 5 short id this stands in for
-  ParallelTrainer::Task task = ParallelTrainer::Task::kClassification;
+  TaskKind task = TaskKind::kClassification;
   std::function<Model()> factory;
   /// Shared so ZooEntry stays copyable; the trainer borrows it.
   std::shared_ptr<InMemoryDataset> dataset;

@@ -20,12 +20,18 @@ core::ControllerOptions make_options(int initial, int maximum, bool adaptive,
 
 CannikinSystem::CannikinSystem(int num_nodes,
                                std::vector<double> max_local_batches,
+                               core::ControllerOptions options)
+    : controller_(num_nodes, std::move(max_local_batches),
+                  std::move(options)) {}
+
+CannikinSystem::CannikinSystem(int num_nodes,
+                               std::vector<double> max_local_batches,
                                int initial_total_batch, int max_total_batch,
                                bool adaptive, core::CombineMode combine,
                                core::GnsWeighting gns)
-    : controller_(num_nodes, std::move(max_local_batches),
-                  make_options(initial_total_batch, max_total_batch, adaptive,
-                               combine, gns)) {}
+    : CannikinSystem(num_nodes, std::move(max_local_batches),
+                     make_options(initial_total_batch, max_total_batch,
+                                  adaptive, combine, gns)) {}
 
 SystemPlan CannikinSystem::plan_epoch() {
   const core::EpochPlan plan = controller_.plan_epoch();

@@ -13,8 +13,12 @@ namespace cannikin::experiments {
 class CannikinSystem : public TrainingSystem {
  public:
   /// `max_local_batches` come from device memory (the scheduler knows
-  /// them); `adaptive` false gives the fixed-total-batch mode of
-  /// Section 5.2.2.
+  /// them); `options` configure the controller in full.
+  CannikinSystem(int num_nodes, std::vector<double> max_local_batches,
+                 core::ControllerOptions options);
+
+  /// Shorthand for the common options; `adaptive` false gives the
+  /// fixed-total-batch mode of Section 5.2.2.
   CannikinSystem(int num_nodes, std::vector<double> max_local_batches,
                  int initial_total_batch, int max_total_batch,
                  bool adaptive = true,

@@ -1,6 +1,7 @@
 #include "experiments/real_training.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -44,6 +45,19 @@ RealEpochRow RealTrainingDriver::run_epoch() {
   if (static_cast<int>(plan.local_batches.size()) != trainer_.num_nodes()) {
     throw std::invalid_argument(
         "RealTrainingDriver: plan size does not match trainer nodes");
+  }
+  // The trainer runs one micro-batch of local_batches per step; a plan
+  // it cannot execute as stated must not be reported as trained.
+  if (plan.accumulation_steps > 1) {
+    throw std::invalid_argument(
+        "RealTrainingDriver: system planned gradient accumulation, which "
+        "the trainer does not execute");
+  }
+  if (std::accumulate(plan.local_batches.begin(), plan.local_batches.end(),
+                      0) != plan.total_batch) {
+    throw std::invalid_argument(
+        "RealTrainingDriver: local batches do not add up to the planned "
+        "total batch");
   }
 
   const dnn::EpochResult result = trainer_.run_epoch(plan.local_batches);

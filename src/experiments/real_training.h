@@ -6,6 +6,13 @@
 // policy as sim::EpochObservations. This puts every policy on the same
 // reducer and the same execution path -- the only difference between
 // "pytorch-ddp" and "cannikin" here is what they plan.
+//
+// With a CannikinSystem and throttled workers (TrainerOptions::throttles)
+// this is the full Cannikin loop on real threads: bootstrap, Eq. (8),
+// OptPerf planning, Eq. (9) aggregation and Theorem 4.1 GNS, with
+// every timing measured. Real-thread clocks jitter far more than a GPU
+// profiler, so such callers raise ControllerOptions::drift_threshold
+// (1.0 in the tests and examples).
 #pragma once
 
 #include <vector>
@@ -30,9 +37,11 @@ struct RealEpochRow {
 class RealTrainingDriver {
  public:
   /// `system` must outlive the driver and plan data-parallel epochs
-  /// (non-empty local_batches). `base` supplies execution knobs
-  /// (bucket capacity, timeout, seed); the workload hyper-parameters
-  /// (LR, scaling, optimizer, B0) come from the zoo entry.
+  /// (non-empty local_batches summing to total_batch, no gradient
+  /// accumulation); run_epoch() throws std::invalid_argument otherwise.
+  /// `base` supplies execution knobs (bucket capacity, timeout, seed,
+  /// throttles, obs); the workload hyper-parameters (LR, scaling,
+  /// optimizer, B0) come from the zoo entry.
   RealTrainingDriver(TrainingSystem* system, const dnn::ZooEntry& entry,
                      int num_nodes, dnn::TrainerOptions base = {});
 

@@ -107,11 +107,11 @@ DeliveryPlan plan_delivery(const FabricModel& fabric,
 
 /// Per-pair message delay model shared by both comm backends.
 ///
-/// The thread backend's old `set_link_latency` knob applied one fixed
-/// delay to every delivery; FabricModel generalizes that to the same
-/// cost model the planner's NetworkModel uses — per-hop latency plus a
-/// byte-dependent serialization term, with the faster intra-server
-/// bandwidth when `groups` places both endpoints on the same server.
+/// FabricModel::uniform_latency applies one fixed delay to every
+/// delivery; the general model is the same cost model the planner's
+/// NetworkModel uses — per-hop latency plus a byte-dependent
+/// serialization term, with the faster intra-server bandwidth when
+/// `groups` places both endpoints on the same server.
 /// Routing both backends through one FabricModel keeps the simulated
 /// network and the executed network from drifting apart.
 struct FabricModel {
@@ -124,7 +124,7 @@ struct FabricModel {
   LinkFaults faults;
   bool enabled = false;
 
-  /// Legacy single-knob model: every delivery between distinct ranks is
+  /// Single-knob model: every delivery between distinct ranks is
   /// delayed by exactly `seconds`, independent of message size.
   static FabricModel uniform_latency(double seconds);
 

@@ -362,7 +362,7 @@ TEST(BucketReducerTest, BucketBeyondGradientThrows) {
 
 TEST(LinkLatency, DelaysDeliveryWithoutBusyWaiting) {
   ProcessGroup group(2);
-  group.set_link_latency(0.05);
+  group.set_fabric(sim::FabricModel::uniform_latency(0.05));
   run_ranks(group, [&](int rank, Communicator& comm) {
     if (rank == 0) {
       comm.send(1, 4, {9.0});
@@ -382,7 +382,7 @@ TEST(LinkLatency, AsyncWorkHidesLatencyBehindCompute) {
   const int n = 2;
   const double latency = 0.02;
   ProcessGroup group(n);
-  group.set_link_latency(latency);
+  group.set_fabric(sim::FabricModel::uniform_latency(latency));
   std::atomic<int> hidden{0};
   run_ranks(group, [&](int rank, Communicator& comm) {
     (void)rank;

@@ -19,6 +19,7 @@
 #include "dnn/parallel_trainer.h"
 #include "obs/metrics.h"
 #include "sim/network.h"
+#include "temp_dir.h"
 
 namespace cannikin {
 namespace {
@@ -273,7 +274,13 @@ TEST(LossyLink, TrainingConvergesThroughRetriesWithoutDiscardingEpochs) {
 // ------------------------------------------------------ chaos harness
 
 ChaosConfig small_config(std::uint64_t seed) {
+  // One private checkpoint directory per test process: the harness's
+  // default per-seed path is shared by every process fuzzing that seed,
+  // so parallel tests would wipe each other's checkpoints mid-write.
+  // Runs within a process are sequential and wipe it up front.
+  static const test::TempDir dir("cannikin-chaos-test");
   ChaosConfig config;
+  config.checkpoint_dir = dir.str();
   config.ranks = 64;
   config.rounds = 6;
   config.num_faults = 5;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -14,9 +15,12 @@
 #include "comm/collectives.h"
 #include "comm/process_group.h"
 #include "comm/tag_allocator.h"
-#include "dnn/adaptive_trainer.h"
+#include "core/controller.h"
 #include "dnn/data.h"
 #include "dnn/model.h"
+#include "dnn/zoo.h"
+#include "experiments/cannikin_system.h"
+#include "experiments/real_training.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/scope.h"
@@ -218,7 +222,8 @@ TEST(ObsScope, ForRankRebindsRowKeepingSinks) {
 
 // ------------------------------------------------------------ integration
 
-// One real AdaptiveTrainer epoch with the scope attached produces the
+// One real Cannikin epoch (CannikinSystem planning, RealTrainingDriver
+// executing on the ParallelTrainer) with the scope attached produces the
 // artifact the README documents: per-bucket all-reduce spans on the
 // comm rows, backward spans on the worker rows, and controller
 // batch_decision events carrying the predicted batch time.
@@ -286,21 +291,30 @@ TEST(ObsIntegration, CommSpansMatchAcrossBackends) {
 }
 
 TEST(ObsIntegration, AdaptiveEpochTraceCarriesCommAndControllerEvents) {
-  const auto dataset = dnn::make_gaussian_mixture(240, 10, 3, 3.5, 11);
-  dnn::AdaptiveTrainerOptions options;
-  options.num_nodes = 2;
-  options.initial_total_batch = 48;
-  options.max_total_batch = 96;
-  options.bucket_capacity = 64;  // several buckets -> several spans
-  options.seed = 5;
+  dnn::ZooEntry entry;
+  entry.workload = "mixture";
+  entry.factory = [] { return dnn::make_mlp(10, 16, 1, 3); };
+  entry.dataset = std::make_shared<dnn::InMemoryDataset>(
+      dnn::make_gaussian_mixture(240, 10, 3, 3.5, 11));
+  entry.initial_total_batch = 48;
+  const int num_nodes = 2;
 
   Tracer tracer;
   MetricsRegistry metrics;
-  options.obs = Scope(&tracer, &metrics, 0);
+  const Scope scope(&tracer, &metrics, 0);
 
-  dnn::AdaptiveTrainer trainer(
-      &dataset, [] { return dnn::make_mlp(10, 16, 1, 3); }, options);
-  trainer.run_epoch();
+  core::ControllerOptions controller;
+  controller.initial_total_batch = 48;
+  controller.max_total_batch = 96;
+  controller.obs = scope.for_rank(kControllerTid);
+  experiments::CannikinSystem system(num_nodes, {240, 240}, controller);
+
+  dnn::TrainerOptions base;
+  base.bucket_capacity = 64;  // several buckets -> several spans
+  base.seed = 5;
+  base.obs = scope;
+  experiments::RealTrainingDriver driver(&system, entry, num_nodes, base);
+  driver.run_epoch();
 
   int bucket_spans = 0, backward_spans = 0, decisions = 0;
   bool decision_has_prediction = false;
@@ -310,7 +324,7 @@ TEST(ObsIntegration, AdaptiveEpochTraceCarriesCommAndControllerEvents) {
       ++bucket_spans;
     }
     if (event.phase == Phase::kBegin && event.name == "backward") {
-      EXPECT_LT(event.tid, options.num_nodes);
+      EXPECT_LT(event.tid, num_nodes);
       ++backward_spans;
     }
     if (event.phase == Phase::kInstant && event.name == "batch_decision") {
@@ -328,7 +342,7 @@ TEST(ObsIntegration, AdaptiveEpochTraceCarriesCommAndControllerEvents) {
 
   EXPECT_GE(metrics.counter("controller.plans"), 1.0);
   EXPECT_GT(metrics.counter("reducer.buckets_reduced"), 0.0);
-  EXPECT_GT(metrics.histogram("adaptive.epoch_seconds").count, 0u);
+  EXPECT_GT(metrics.histogram("trainer.epoch_seconds").count, 0u);
   EXPECT_GT(metrics.histogram("comm.run_us").count, 0u);
 
   // The whole trace must still be valid JSON.

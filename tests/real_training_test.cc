@@ -1,11 +1,15 @@
 // Tests for RealTrainingDriver: planning policies (DDP, Cannikin)
 // executing on the real ParallelTrainer / BucketReducer substrate, with
-// measured phase timings flowing back as observations.
+// measured phase timings flowing back as observations -- including the
+// full Cannikin loop over throttle-emulated heterogeneous workers.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/ddp.h"
 #include "dnn/data.h"
@@ -21,7 +25,7 @@ namespace {
 dnn::ZooEntry tiny_entry() {
   dnn::ZooEntry entry;
   entry.workload = "tiny";
-  entry.task = dnn::ParallelTrainer::Task::kClassification;
+  entry.task = dnn::TaskKind::kClassification;
   entry.factory = [] { return dnn::make_mlp(8, 12, 1, 3); };
   entry.dataset = std::make_shared<dnn::InMemoryDataset>(
       dnn::make_gaussian_mixture(240, 8, 3, 3.0, 17));
@@ -58,6 +62,8 @@ TEST(RealTrainingDriver, CannikinPolicyClosesTheLoopOnMeasuredTimings) {
 
   for (int epoch = 0; epoch < 4; ++epoch) {
     const auto row = driver.run_epoch();
+    EXPECT_EQ(row.epoch, epoch);
+    EXPECT_GT(row.epoch_seconds, 0.0);
     ASSERT_EQ(row.local_batches.size(), 3u);
     EXPECT_GT(row.total_batch, 0);
     EXPECT_LE(row.total_batch, 48);
@@ -82,6 +88,66 @@ TEST(RealTrainingDriver, RejectsMismatchedOrEmptyPlans) {
   // Plan for 2 nodes executed on a 3-node trainer.
   experiments::RealTrainingDriver driver(&ddp, entry, 3);
   EXPECT_THROW(driver.run_epoch(), std::invalid_argument);
+}
+
+// Replays one fixed plan every epoch.
+class FixedPlanSystem : public experiments::TrainingSystem {
+ public:
+  explicit FixedPlanSystem(experiments::SystemPlan plan)
+      : plan_(std::move(plan)) {}
+  std::string name() const override { return "fixed"; }
+  experiments::SystemPlan plan_epoch() override { return plan_; }
+  void observe_epoch(const sim::EpochObservation&) override {}
+
+ private:
+  experiments::SystemPlan plan_;
+};
+
+TEST(RealTrainingDriver, RejectsPlansItCannotRunAsStated) {
+  // The trainer runs one micro-batch of local_batches per step, so
+  // executing either plan would train 24 samples per step while the
+  // row reported 48.
+  const auto entry = tiny_entry();
+  // Caps of 8 per node hold 24 of the 48-sample initial batch.
+  experiments::CannikinSystem capped(3, {8, 8, 8},
+                                     /*initial_total_batch=*/48,
+                                     /*max_total_batch=*/96);
+  experiments::RealTrainingDriver capped_driver(&capped, entry, 3);
+  EXPECT_THROW(capped_driver.run_epoch(), std::invalid_argument);
+
+  experiments::SystemPlan accumulated;
+  accumulated.total_batch = 48;
+  accumulated.accumulation_steps = 2;
+  accumulated.local_batches = {8, 8, 8};
+  FixedPlanSystem fixed(accumulated);
+  experiments::RealTrainingDriver fixed_driver(&fixed, entry, 3);
+  EXPECT_THROW(fixed_driver.run_epoch(), std::invalid_argument);
+}
+
+TEST(RealTrainingDriver, CannikinTrainsToGoodAccuracyWhileAdapting) {
+  dnn::ZooEntry entry;
+  entry.workload = "mixture";
+  entry.factory = [] { return dnn::make_mlp(16, 24, 1, 4); };
+  entry.dataset = std::make_shared<dnn::InMemoryDataset>(
+      dnn::make_gaussian_mixture(3000, 16, 4, 3.0, 6));
+  entry.base_lr = 0.04;
+  entry.initial_total_batch = 48;
+  // Cannikin on real threads: the dataset bounds each local batch, and
+  // only a gross, persistent misprediction counts as drift -- real
+  // thread clocks jitter far more than a GPU profiler.
+  core::ControllerOptions controller;
+  controller.initial_total_batch = 48;
+  controller.max_total_batch = 192;
+  controller.drift_threshold = 1.0;
+  experiments::CannikinSystem system(3, std::vector<double>(3, 3000.0),
+                                     controller);
+  dnn::TrainerOptions base;
+  base.throttles = {1, 2, 4};  // a fast, a medium and a slow "GPU"
+  base.seed = 11;
+  experiments::RealTrainingDriver driver(&system, entry, 3, base);
+  for (int epoch = 0; epoch < 8; ++epoch) driver.run_epoch();
+  EXPECT_GT(driver.evaluate_accuracy(*entry.dataset), 0.85);
+  EXPECT_GE(system.controller().current_gns(), 0.0);
 }
 
 TEST(ParallelTrainerTimings, EpochReportsMeasuredPhaseProfile) {

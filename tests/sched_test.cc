@@ -1,13 +1,19 @@
 // Tests for the scheduler subsystem: model bank (+ serialization),
-// goodput allocation, elastic jobs with warm-started models, and the
-// multi-job simulation.
+// goodput allocation, elastic jobs with warm-started models, and a
+// multi-job fleet over them.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sched/elastic_job.h"
+#include "sched/fleet.h"
 #include "sched/model_bank.h"
-#include "sched/multi_job_sim.h"
 #include "sched/scheduler.h"
 #include "sim/cluster_factory.h"
+#include "temp_dir.h"
 #include "workloads/registry.h"
 
 namespace cannikin::sched {
@@ -236,16 +242,27 @@ TEST(MultiJob, AllJobsCompleteAndSchedulerBeatsStaticPartition) {
   // goodput scheduler routes them to compute-hungry ImageNet instead.
   const std::vector<const workloads::Workload*> jobs{
       &workloads::by_name("movielens"), &workloads::by_name("imagenet")};
-
-  MultiJobOptions goodput;
-  goodput.policy = AllocationPolicy::kGoodputScheduler;
-  goodput.seed = 11;
-  const auto smart = run_multi_job(sim::cluster_b(), jobs, goodput);
-
-  MultiJobOptions fixed;
-  fixed.policy = AllocationPolicy::kStaticPartition;
-  fixed.seed = 11;
-  const auto naive = run_multi_job(sim::cluster_b(), jobs, fixed);
+  const test::TempDir temp("cannikin-multi-job");
+  auto run = [&](std::unique_ptr<SchedulingPolicy> policy,
+                 const std::string& subdir) {
+    FleetOptions options;
+    options.seed = 11;
+    options.checkpoint_root = (temp.path() / subdir).string();
+    FleetSim fleet(sim::cluster_b(), std::move(policy), options);
+    for (const workloads::Workload* workload : jobs) {
+      JobSpec spec;
+      spec.name = workload->name;
+      spec.workload = workload;
+      fleet.submit(std::move(spec));
+    }
+    return fleet.run();
+  };
+  const FleetResult smart =
+      run(std::make_unique<GoodputGreedyPolicy>(sim::cluster_b()), "goodput");
+  const FleetResult naive =
+      run(std::make_unique<StaticPartitionPolicy>(
+              sim::cluster_b().size(), static_cast<int>(jobs.size())),
+          "static");
 
   for (const auto& outcome : smart.jobs) {
     EXPECT_GT(outcome.completion_seconds, 0.0) << outcome.workload;
@@ -256,15 +273,7 @@ TEST(MultiJob, AllJobsCompleteAndSchedulerBeatsStaticPartition) {
   // Goodput-aware heterogeneous allocation + elastic scale-up on job
   // completion beats the blind static split.
   EXPECT_LT(smart.makespan, naive.makespan);
-  EXPECT_LT(smart.mean_completion, naive.mean_completion * 1.05);
-}
-
-TEST(MultiJob, Validation) {
-  EXPECT_THROW(run_multi_job(sim::cluster_a(), {}), std::invalid_argument);
-  const std::vector<const workloads::Workload*> too_many(
-      5, &workloads::by_name("cifar10"));
-  EXPECT_THROW(run_multi_job(sim::cluster_a(), too_many),
-               std::invalid_argument);
+  EXPECT_LT(smart.mean_jct, naive.mean_jct * 1.05);
 }
 
 }  // namespace

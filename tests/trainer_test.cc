@@ -126,6 +126,39 @@ TEST(ParallelTrainer, Validation) {
                std::invalid_argument);
 }
 
+TEST(ParallelTrainer, ThrottleValidation) {
+  const auto dataset = make_gaussian_mixture(100, 8, 2, 2.0, 8);
+  auto factory = [] { return make_mlp(8, 8, 1, 2); };
+  TrainerOptions options = base_options(3);
+  options.throttles = {1, 2};  // wrong size for 3 nodes
+  EXPECT_THROW(ParallelTrainer(&dataset, factory, options),
+               std::invalid_argument);
+  options.throttles = {1, 0, 2};
+  EXPECT_THROW(ParallelTrainer(&dataset, factory, options),
+               std::invalid_argument);
+  options.throttles = {1, 2, 4};
+  EXPECT_THROW(ParallelTrainer(nullptr, factory, options),
+               std::invalid_argument);
+}
+
+TEST(ParallelTrainer, ThrottleRepsArePureCompute) {
+  // A throttled rank repeats forward/backward and discards the extra
+  // gradients, so only its clocks may differ from an unthrottled run:
+  // parameters, loss and GNS must match bit for bit.
+  const auto dataset = small_classification(300);
+  TrainerOptions throttled = base_options(2);
+  throttled.throttles = {1, 3};
+  ParallelTrainer plain(&dataset, mlp_factory(), base_options(2));
+  ParallelTrainer slow(&dataset, mlp_factory(), throttled);
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    const auto expected = plain.run_epoch({30, 20});
+    const auto actual = slow.run_epoch({30, 20});
+    EXPECT_EQ(actual.mean_loss, expected.mean_loss);
+    EXPECT_EQ(actual.gns_after, expected.gns_after);
+    EXPECT_EQ(slow.params(), plain.params());
+  }
+}
+
 TEST(ParallelTrainer, DeterministicAcrossRuns) {
   const auto dataset = small_classification(300);
   ParallelTrainer a(&dataset, mlp_factory(), base_options(3));
