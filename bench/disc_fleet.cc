@@ -18,7 +18,9 @@
 // enforce it in CI.
 //
 // All virtual-time metrics are pure functions of (trace, policy,
-// seed); only the `measured_*` wall-clock entries vary run to run.
+// seed); only the `measured_*` wall-clock entries vary run to run --
+// among them each policy's decision-time p50/p90, printed on
+// `measured_` lines and reported to BENCH_fleet.json.
 #include "bench_common.h"
 
 #include <cstdlib>
@@ -53,24 +55,37 @@ std::vector<sched::JobSpec> make_specs(int count) {
   return specs;
 }
 
-sched::FleetResult run_policy(const sim::ClusterSpec& cluster,
-                              std::unique_ptr<sched::SchedulingPolicy> policy,
-                              const std::vector<sched::JobArrival>& trace) {
+/// One policy's run plus the wall clock of its decisions.
+struct PolicyRun {
+  sched::FleetResult result;
+  obs::MetricsRegistry::HistogramSummary decision_us;
+};
+
+PolicyRun run_policy(const sim::ClusterSpec& cluster,
+                     std::unique_ptr<sched::SchedulingPolicy> policy,
+                     const std::vector<sched::JobArrival>& trace) {
+  obs::MetricsRegistry registry;
   sched::FleetOptions options;
   options.seed = 47;
   options.checkpoint_every_epochs = 3;
   options.rebalance_interval_seconds = 400.0;
   options.preemption_cost_seconds = 30.0;
+  options.obs = obs::Scope(nullptr, &registry);
   sched::FleetSim fleet(cluster, std::move(policy), options);
   fleet.submit(trace);
-  return fleet.run();
+  PolicyRun run{fleet.run(), {}};
+  run.decision_us = registry.histogram("fleet.policy_decision_us");
+  return run;
 }
 
 void report_policy(cannikin::bench::BenchReport& report,
-                   const sched::FleetResult& result) {
-  for (const auto& [name, value] : result.metrics()) {
-    report.gauge("fleet." + result.policy + "." + name, value);
+                   const PolicyRun& run) {
+  const std::string prefix = "fleet." + run.result.policy + ".";
+  for (const auto& [name, value] : run.result.metrics()) {
+    report.gauge(prefix + name, value);
   }
+  report.gauge(prefix + "measured_policy_decision_us_p50", run.decision_us.p50);
+  report.gauge(prefix + "measured_policy_decision_us_p90", run.decision_us.p90);
 }
 
 }  // namespace
@@ -89,14 +104,18 @@ int main() {
       sched::poisson_arrivals(make_specs(kJobs), /*mean_interarrival=*/260.0,
                               /*seed=*/901);
 
-  const auto goodput = run_policy(
-      cluster, std::make_unique<sched::GoodputGreedyPolicy>(cluster), trace);
-  const auto fifo =
-      run_policy(cluster, std::make_unique<sched::FifoPolicy>(), trace);
-  const auto fixed = run_policy(
-      cluster,
-      std::make_unique<sched::StaticPartitionPolicy>(cluster.size(), 4),
-      trace);
+  const PolicyRun runs[] = {
+      run_policy(cluster, std::make_unique<sched::GoodputGreedyPolicy>(cluster),
+                 trace),
+      run_policy(cluster, std::make_unique<sched::FifoPolicy>(), trace),
+      run_policy(
+          cluster,
+          std::make_unique<sched::StaticPartitionPolicy>(cluster.size(), 4),
+          trace),
+  };
+  const sched::FleetResult& goodput = runs[0].result;
+  const sched::FleetResult& fifo = runs[1].result;
+  const sched::FleetResult& fixed = runs[2].result;
 
   experiments::TablePrinter table({"policy", "mean JCT(s)", "p50", "p90",
                                    "p99", "queue(s)", "goodput(samp/s)",
@@ -118,13 +137,19 @@ int main() {
               "back, %d checkpoints)\n",
               goodput.preemption_overhead_seconds,
               goodput.epochs_lost_to_preemption, goodput.checkpoints_written);
+  // Wall clock, so it varies run to run; the measured_ prefix keeps
+  // these lines out of determinism diffs.
+  for (const PolicyRun& run : runs) {
+    std::printf("measured_policy_decision_us %s: p50 %.1f  p90 %.1f  "
+                "(%zu decisions)\n",
+                run.result.policy.c_str(), run.decision_us.p50,
+                run.decision_us.p90, run.decision_us.count);
+  }
 
   BenchReport report("disc_fleet");
   report.gauge("fleet.trace.jobs", static_cast<double>(kJobs));
   report.gauge("fleet.trace.nodes", static_cast<double>(cluster.size()));
-  report_policy(report, goodput);
-  report_policy(report, fifo);
-  report_policy(report, fixed);
+  for (const PolicyRun& run : runs) report_policy(report, run);
 
   const bool all_complete =
       goodput.completed_jobs == kJobs && fifo.completed_jobs == kJobs &&

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -17,6 +18,7 @@
 #include "comm/process_group.h"
 #include "common/rng.h"
 #include "common/serialize.h"
+#include "common/temp_dir.h"
 #include "sched/checkpoint.h"
 
 namespace cannikin::chaos {
@@ -237,16 +239,18 @@ ChaosResult run_chaos_schedule(const ChaosConfig& config,
     }
   }
 
-  // Deterministic, per-seed checkpoint directory, wiped up front so a
-  // replay never sees a previous run's files.
+  // A caller-named directory is wiped up front so a replay never sees
+  // a previous run's files; otherwise the run gets a fresh one of its
+  // own, removed on return.
+  std::optional<TempDir> owned_dir;
   std::string dir = config.checkpoint_dir;
   if (dir.empty()) {
-    dir = (std::filesystem::temp_directory_path() /
-           ("cannikin-chaos-" + std::to_string(schedule.seed)))
-              .string();
+    owned_dir.emplace("cannikin-chaos");
+    dir = owned_dir->str();
+  } else {
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
   }
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
   sched::CheckpointStore store(dir, /*keep_last=*/3);
   store.set_scope(config.obs);
 

@@ -76,8 +76,9 @@ struct ChaosConfig {
   double base_latency_seconds = 1e-5;
   /// Liveness budget per round, wall seconds.
   double wall_budget_seconds = 30.0;
-  /// Empty: a per-seed directory under the system temp dir (cleaned at
-  /// run start, so replays are deterministic).
+  /// Cleaned at run start, so replays are deterministic. Empty: a fresh
+  /// mkdtemp directory under the system temp dir, removed when the run
+  /// ends.
   std::string checkpoint_dir;
   int checkpoint_every_rounds = 2;
   obs::Scope obs;

@@ -140,6 +140,7 @@ std::string CheckpointStore::save(const Checkpoint& ckpt) {
     }
   }
   fs::rename(tmp_path, final_path);
+  bytes_written_ += bytes.size();
   prune();
   return final_path.string();
 }

@@ -20,6 +20,7 @@
 //   * keep-last-K retention prunes old checkpoints after each save.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -79,6 +80,9 @@ class CheckpointStore {
   /// checkpoints beyond keep_last afterwards.
   std::string save(const Checkpoint& ckpt);
 
+  /// Serialized bytes of every checkpoint save() has written.
+  std::uint64_t bytes_written() const { return bytes_written_; }
+
   /// Checkpoint file paths, newest first.
   std::vector<std::string> list() const;
 
@@ -101,6 +105,7 @@ class CheckpointStore {
   int keep_last_;
   obs::Scope scope_;
   std::uint64_t seq_ = 0;  ///< tie-breaker for same-epoch checkpoints
+  std::uint64_t bytes_written_ = 0;
 };
 
 }  // namespace cannikin::sched

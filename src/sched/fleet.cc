@@ -1,6 +1,7 @@
 #include "sched/fleet.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <random>
@@ -105,13 +106,13 @@ FleetSim::FleetSim(sim::ClusterSpec cluster,
   }
   checkpoint_root_ = options_.checkpoint_root;
   if (checkpoint_root_.empty()) {
-    checkpoint_root_ = (std::filesystem::temp_directory_path() /
-                        ("cannikin-fleet-" + std::to_string(options_.seed)))
-                           .string();
+    owned_root_.emplace("cannikin-fleet");
+    checkpoint_root_ = owned_root_->str();
+  } else {
+    // A replay must never restore a previous run's checkpoints.
+    std::error_code ec;
+    std::filesystem::remove_all(checkpoint_root_, ec);
   }
-  // A replay must never restore a previous run's checkpoints.
-  std::error_code ec;
-  std::filesystem::remove_all(checkpoint_root_, ec);
 }
 
 FleetSim::~FleetSim() = default;
@@ -197,11 +198,19 @@ FleetState FleetSim::snapshot() const {
 
 void FleetSim::consult_policy(const FleetState& state, EventKind trigger,
                               JobId subject) {
+  const bool metrics = options_.obs.metrics() != nullptr;
+  std::chrono::steady_clock::time_point start;
+  if (metrics) start = std::chrono::steady_clock::now();
   Allocation target =
       trigger == EventKind::kArrival ? policy_->on_job_arrival(state, subject)
       : trigger == EventKind::kEpochEnd
           ? policy_->on_job_finish(state, subject)
           : policy_->on_rebalance_tick(state);
+  if (metrics) {
+    const std::chrono::duration<double, std::micro> elapsed =
+        std::chrono::steady_clock::now() - start;
+    options_.obs.observe("fleet.policy_decision_us", elapsed.count());
+  }
   if (target.num_nodes() != allocation_.num_nodes()) {
     throw std::logic_error("FleetSim: policy \"" + policy_->name() +
                            "\" returned an allocation for " +
@@ -211,6 +220,14 @@ void FleetSim::consult_policy(const FleetState& state, EventKind trigger,
                            "-node cluster");
   }
   execute_target(target);
+  if (metrics) {
+    const auto waiting = std::count_if(
+        jobs_.begin(), jobs_.end(), [](const JobRecord& job) {
+          return job.state == JobState::kQueued ||
+                 job.state == JobState::kPreempted;
+        });
+    options_.obs.gauge_set("fleet.queue_length", static_cast<double>(waiting));
+  }
 }
 
 void FleetSim::execute_target(const Allocation& target) {
@@ -295,6 +312,7 @@ void FleetSim::preempt_job(JobId id) {
   job.state = JobState::kPreempted;
   ++job.outcome.preemptions;
   ++total_preemptions_;
+  options_.obs.counter_add("fleet.preemptions", 1.0);
 }
 
 void FleetSim::resize_job(JobId id, const std::vector<int>& nodes) {
@@ -323,20 +341,24 @@ void FleetSim::retire_job(JobId id) {
       job.committed_progress >= job.spec.target_fraction - 1e-12;
   job.outcome.effective_samples =
       job.committed_progress * job.spec.workload->target_progress();
-  if (job.supervisor != nullptr) {
-    job.outcome.warm_reallocations =
-        job.supervisor->has_job()
-            ? job.supervisor->job().warm_reallocations()
-            : 0;
-    const SupervisorStats& stats = job.supervisor->stats();
-    checkpoints_written_ += stats.checkpoints_written;
-    epochs_lost_to_preemption_ += stats.epochs_lost_to_preemption;
-    measured_checkpoint_seconds_ += stats.checkpoint_write_seconds;
-    measured_restore_seconds_ +=
-        stats.restore_seconds + stats.preemption_restore_seconds;
-    job.supervisor.reset();
-  }
+  absorb_supervisor(job);
   if (allocation_.size_of(id) > 0) allocation_.release(id);
+}
+
+void FleetSim::absorb_supervisor(JobRecord& job) {
+  if (job.supervisor == nullptr) return;
+  job.outcome.warm_reallocations =
+      job.supervisor->has_job() ? job.supervisor->job().warm_reallocations()
+                                : 0;
+  const SupervisorStats& stats = job.supervisor->stats();
+  checkpoints_written_ += stats.checkpoints_written;
+  epochs_lost_to_preemption_ += stats.epochs_lost_to_preemption;
+  measured_checkpoint_seconds_ += stats.checkpoint_write_seconds;
+  measured_restore_seconds_ +=
+      stats.restore_seconds + stats.preemption_restore_seconds;
+  options_.obs.counter_add("fleet.checkpoint_bytes",
+                           static_cast<double>(stats.checkpoint_bytes));
+  job.supervisor.reset();
 }
 
 void FleetSim::commit_epoch(JobId id) {
@@ -459,19 +481,7 @@ FleetResult FleetSim::run() {
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     if (jobs_[i].state == JobState::kDone) continue;
     JobRecord& job = jobs_[i];
-    if (job.supervisor != nullptr) {
-      const SupervisorStats& stats = job.supervisor->stats();
-      checkpoints_written_ += stats.checkpoints_written;
-      epochs_lost_to_preemption_ += stats.epochs_lost_to_preemption;
-      measured_checkpoint_seconds_ += stats.checkpoint_write_seconds;
-      measured_restore_seconds_ +=
-          stats.restore_seconds + stats.preemption_restore_seconds;
-      job.outcome.warm_reallocations =
-          job.supervisor->has_job()
-              ? job.supervisor->job().warm_reallocations()
-              : 0;
-      job.supervisor.reset();
-    }
+    absorb_supervisor(job);
     job.outcome.epochs = job.committed_epochs;
     job.outcome.effective_samples =
         job.committed_progress * job.spec.workload->target_progress();

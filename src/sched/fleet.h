@@ -29,14 +29,26 @@
 //     preemption cost and the virtual-time resume penalty use the
 //     fixed FleetOptions::preemption_cost_seconds (calibrate it from
 //     the measured_* outputs of prior runs).
+//
+// With FleetOptions::obs attached, FleetSim records
+//   fleet.policy_decision_us  histogram, wall clock of each policy call
+//   fleet.queue_length        gauge, jobs waiting for nodes after each
+//                             scheduling point (queued + preempted)
+//   fleet.preemptions         counter
+//   fleet.checkpoint_bytes    counter, checkpoint bytes each job wrote,
+//                             added when the job retires
+// Without it (the default) none of this is measured.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/temp_dir.h"
+#include "obs/scope.h"
 #include "sched/allocation.h"
 #include "sched/policy.h"
 #include "sched/supervisor.h"
@@ -59,8 +71,9 @@ struct FleetOptions {
   /// Checkpoint a running job every N committed epochs; 0 keeps only
   /// the epoch-0 checkpoint each start/resume writes.
   int checkpoint_every_epochs = 0;
-  /// Root directory for per-job checkpoint stores; empty uses a
-  /// per-seed directory under the system temp dir, wiped up front.
+  /// Root directory for per-job checkpoint stores, wiped up front;
+  /// empty uses a fresh mkdtemp directory under the system temp dir,
+  /// removed with the FleetSim.
   std::string checkpoint_root;
   /// Modeled cost of one preemption (checkpoint rollback + restore) in
   /// virtual seconds: charged to a resumed job's next epoch and handed
@@ -74,6 +87,9 @@ struct FleetOptions {
   /// nondeterministic at the microsecond scale). Negative restores the
   /// measured legacy behavior -- and forfeits replay determinism.
   double modeled_planning_seconds = 1e-3;
+  /// Observability scope for the fleet.* metrics listed above;
+  /// disabled by default.
+  obs::Scope obs;
 };
 
 /// One entry of an arrival trace.
@@ -156,6 +172,7 @@ class FleetSim {
 
   const Allocation& allocation() const { return allocation_; }
   double now() const { return now_; }
+  const std::string& checkpoint_root() const { return checkpoint_root_; }
 
  private:
   enum class JobState { kPending, kQueued, kRunning, kPreempted, kDone };
@@ -200,12 +217,16 @@ class FleetSim {
   void retire_job(JobId id);
   void dispatch_idle_jobs();
   void commit_epoch(JobId id);
+  /// Folds a job's supervisor stats into the fleet totals and drops
+  /// the supervisor.
+  void absorb_supervisor(JobRecord& job);
   int unfinished_jobs() const;
   JobRecord& record(JobId id);
 
   sim::ClusterSpec cluster_;
   std::unique_ptr<SchedulingPolicy> policy_;
   FleetOptions options_;
+  std::optional<TempDir> owned_root_;  ///< when no checkpoint_root given
   std::string checkpoint_root_;
 
   std::vector<JobRecord> jobs_;

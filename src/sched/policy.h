@@ -10,8 +10,9 @@
 // (ElasticCannikinJob reallocation with banked warm starts), and
 // preempting/migrating via checkpoint-restore. Policies never touch a
 // job object and hold no mutable fleet state of their own beyond
-// construction-time configuration, which is what makes new policies a
-// single-class addition instead of a driver rewrite.
+// construction-time configuration (and caches derived from it, such as
+// GoodputScheduler's goodput-curve memo), which is what makes new
+// policies a single-class addition instead of an event-loop rewrite.
 #pragma once
 
 #include <memory>

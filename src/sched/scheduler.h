@@ -15,8 +15,19 @@
 // SchedulingPolicy layer (policy.h) composes into fleet-level
 // decisions. It returns a typed Allocation whose job ids are indices
 // into the `jobs` argument; callers remap to fleet JobIds.
+//
+// Goodput curves are memoized. A job's batch time at each candidate
+// total batch depends only on its workload and on the hardware of the
+// nodes in order -- not on its GNS -- so the scheduler solves each
+// (workload, ordered node-class sequence) curve once and every later
+// query is a max over about ten cached points. The memo lives as long
+// as the scheduler (the cluster is immutable, so nothing invalidates)
+// and makes the scheduler NOT thread-safe, const methods included.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <unordered_map>
 #include <vector>
 
 #include "sched/allocation.h"
@@ -57,8 +68,41 @@ class GoodputScheduler {
 
   const sim::ClusterSpec& cluster() const { return cluster_; }
 
+  /// Hardware class of each node: nodes share a class id exactly when
+  /// their gpu, contention and host_speed are equal (`host` is only a
+  /// name). Ids are dense, numbered in first-seen node order.
+  const std::vector<int>& node_classes() const { return node_class_; }
+
  private:
+  /// One usable (feasible, positive-time) point of a goodput curve.
+  struct CurvePoint {
+    int batch = 0;
+    double batch_time = 0.0;
+  };
+  using Curve = std::vector<CurvePoint>;
+  /// Every Workload field a curve depends on, compared bitwise, so a
+  /// workload is recognised by value rather than by address.
+  using CurveInputs = std::array<double, 11>;
+  struct KeyHash {
+    std::size_t operator()(const std::vector<int>& key) const;
+  };
+
+  /// The memoized curve of `workload` on `node_ids` (non-empty).
+  const Curve& curve(const workloads::Workload& workload,
+                     const std::vector<int>& node_ids) const;
+  /// Catalog models + OptPerf solve of every batch-size candidate.
+  Curve solve_curve(const workloads::Workload& workload,
+                    const std::vector<int>& node_ids) const;
+
   sim::ClusterSpec cluster_;
+  std::vector<int> node_class_;
+  // Memo state. Key: workload index into workloads_, then the class id
+  // of each node in the caller's order. Keeping the order means a miss
+  // hands OptPerf exactly the models the caller's node list implies,
+  // so cached answers are bitwise those of a fresh solve.
+  mutable std::vector<CurveInputs> workloads_;
+  mutable std::unordered_map<std::vector<int>, Curve, KeyHash> curves_;
+  mutable std::vector<int> key_;  ///< reused probe-key buffer
 };
 
 }  // namespace cannikin::sched

@@ -78,6 +78,7 @@ double TrainingSupervisor::checkpoint_now() {
   const double elapsed = seconds_since(t0);
   span.close();
   ++stats_.checkpoints_written;
+  stats_.checkpoint_bytes = store_.bytes_written();
   stats_.checkpoint_write_seconds += elapsed;
   if (obs_.metrics() != nullptr) {
     obs_.counter_add("sched.checkpoints_written", 1.0);

@@ -79,6 +79,7 @@ enum class SupervisorOutcome {
 struct SupervisorStats {
   SupervisorOutcome outcome = SupervisorOutcome::kEpochBudgetExhausted;
   int checkpoints_written = 0;
+  std::uint64_t checkpoint_bytes = 0;  ///< serialized bytes written
   int restores = 0;          ///< successful checkpoint restores
   int restore_attempts = 0;  ///< attempts including failures
   int epochs_lost_to_rollback = 0;

@@ -14,12 +14,12 @@
 #include "chaos/chaos_harness.h"
 #include "comm/process_group.h"
 #include "comm/quorum.h"
+#include "common/temp_dir.h"
 #include "dnn/data.h"
 #include "dnn/model.h"
 #include "dnn/parallel_trainer.h"
 #include "obs/metrics.h"
 #include "sim/network.h"
-#include "temp_dir.h"
 
 namespace cannikin {
 namespace {
@@ -278,7 +278,7 @@ ChaosConfig small_config(std::uint64_t seed) {
   // default per-seed path is shared by every process fuzzing that seed,
   // so parallel tests would wipe each other's checkpoints mid-write.
   // Runs within a process are sequential and wipe it up front.
-  static const test::TempDir dir("cannikin-chaos-test");
+  static const TempDir dir("cannikin-chaos-test");
   ChaosConfig config;
   config.checkpoint_dir = dir.str();
   config.ranks = 64;

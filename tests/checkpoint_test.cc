@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -14,6 +15,7 @@
 
 #include "common/rng.h"
 #include "common/serialize.h"
+#include "common/temp_dir.h"
 #include "core/checkpoint.h"
 #include "dnn/checkpoint.h"
 #include "dnn/model.h"
@@ -24,12 +26,10 @@
 #include "sim/cluster.h"
 #include "sim/cluster_factory.h"
 #include "workloads/registry.h"
-#include "temp_dir.h"
 
 namespace {
 
 using namespace cannikin;
-using test::TempDir;
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -305,10 +305,14 @@ TEST(CheckpointStore, SaveLoadLatestAndRetention) {
   sched::CheckpointStore store(dir.str(), /*keep_last=*/2);
 
   sched::Checkpoint ckpt = sample_checkpoint();
+  std::uint64_t bytes = 0;
   for (int e = 1; e <= 5; ++e) {
     ckpt.epochs = e;
     store.save(ckpt);
+    bytes += ckpt.serialize().size();
   }
+  // Every save counts, pruned ones included.
+  EXPECT_EQ(store.bytes_written(), bytes);
   // Retention: only the last 2 survive.
   EXPECT_EQ(store.list().size(), 2u);
   const auto latest = store.load_latest();

@@ -6,12 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/temp_dir.h"
+#include "obs/metrics.h"
+#include "obs/scope.h"
 #include "sched/allocation.h"
 #include "sched/fault_recovery.h"
 #include "sched/fleet.h"
@@ -19,7 +25,6 @@
 #include "sched/supervisor.h"
 #include "sim/cluster_factory.h"
 #include "workloads/registry.h"
-#include "temp_dir.h"
 
 namespace cannikin::sched {
 namespace {
@@ -294,7 +299,7 @@ TEST(FleetFifo, QueuesBehindTheHeadAndNeverPreempts) {
 
 class FleetPreemption : public ::testing::Test {
  protected:
-  test::TempDir temp_{"cannikin-fleet-test"};
+  TempDir temp_{"cannikin-fleet-test"};
   const std::string dir_ = temp_.str();
 };
 
@@ -433,6 +438,19 @@ std::vector<JobArrival> mixed_trace(int jobs, std::uint64_t seed) {
   return poisson_arrivals(std::move(specs), 40.0, seed + 1);
 }
 
+// Metrics of two runs, `measured_*` wall clock excluded.
+void expect_same_virtual_metrics(const FleetResult& lhs,
+                                 const FleetResult& rhs) {
+  const auto left = lhs.metrics();
+  const auto right = rhs.metrics();
+  ASSERT_EQ(left.size(), right.size());
+  for (std::size_t i = 0; i < left.size(); ++i) {
+    ASSERT_EQ(left[i].first, right[i].first);
+    if (left[i].first.rfind("measured_", 0) == 0) continue;
+    EXPECT_EQ(left[i].second, right[i].second) << left[i].first;
+  }
+}
+
 FleetResult run_goodput_fleet(const std::vector<JobArrival>& trace,
                               const std::string& root) {
   FleetOptions options;
@@ -453,14 +471,7 @@ TEST_F(FleetPreemption, SameSeedSameTraceGivesIdenticalMetrics) {
   const FleetResult first = run_goodput_fleet(trace, dir_ + "/a");
   const FleetResult second = run_goodput_fleet(trace, dir_ + "/b");
 
-  const auto lhs = first.metrics();
-  const auto rhs = second.metrics();
-  ASSERT_EQ(lhs.size(), rhs.size());
-  for (std::size_t i = 0; i < lhs.size(); ++i) {
-    ASSERT_EQ(lhs[i].first, rhs[i].first);
-    if (lhs[i].first.rfind("measured_", 0) == 0) continue;  // wall clock
-    EXPECT_DOUBLE_EQ(lhs[i].second, rhs[i].second) << lhs[i].first;
-  }
+  expect_same_virtual_metrics(first, second);
   EXPECT_EQ(first.completed_jobs, static_cast<int>(trace.size()));
   // Virtual-time metrics are pure functions of (trace, policy, seed).
   for (std::size_t i = 0; i < first.jobs.size(); ++i) {
@@ -469,6 +480,115 @@ TEST_F(FleetPreemption, SameSeedSameTraceGivesIdenticalMetrics) {
     EXPECT_EQ(first.jobs[i].epochs, second.jobs[i].epochs);
     EXPECT_EQ(first.jobs[i].preemptions, second.jobs[i].preemptions);
   }
+}
+
+// -------------------------------------------------- hermetic temp roots
+
+TEST(FleetHermetic, ConcurrentSameSeedRunsGetPrivateRootsAndAgree) {
+  const auto trace = mixed_trace(6, 321);
+  struct Run {
+    std::string root;
+    FleetResult result;
+    bool root_removed = false;
+    std::string error;
+  };
+  Run runs[2];
+  const auto body = [&trace](Run* run) {
+    try {
+      {
+        FleetOptions options;
+        options.seed = 17;
+        options.max_epochs_per_job = 400;
+        options.checkpoint_every_epochs = 3;  // no checkpoint_root
+        FleetSim fleet(sim::cluster_b(),
+                       std::make_unique<GoodputGreedyPolicy>(sim::cluster_b()),
+                       options);
+        run->root = fleet.checkpoint_root();
+        fleet.submit(trace);
+        run->result = fleet.run();
+      }
+      run->root_removed = !std::filesystem::exists(run->root);
+    } catch (const std::exception& e) {
+      run->error = e.what();
+    }
+  };
+  std::thread first(body, &runs[0]);
+  std::thread second(body, &runs[1]);
+  first.join();
+  second.join();
+
+  ASSERT_EQ(runs[0].error, "");
+  ASSERT_EQ(runs[1].error, "");
+  EXPECT_NE(runs[0].root, runs[1].root);
+  EXPECT_TRUE(runs[0].root_removed) << runs[0].root;
+  EXPECT_TRUE(runs[1].root_removed) << runs[1].root;
+  EXPECT_EQ(runs[0].result.completed_jobs, static_cast<int>(trace.size()));
+  EXPECT_GT(runs[0].result.checkpoints_written, 0);
+  expect_same_virtual_metrics(runs[0].result, runs[1].result);
+}
+
+// ---------------------------------------------------------- fleet metrics
+
+/// Forwards to GoodputGreedyPolicy and counts the decisions.
+class CountingPolicy : public SchedulingPolicy {
+ public:
+  CountingPolicy(const sim::ClusterSpec& cluster, int* calls)
+      : inner_(cluster), calls_(calls) {}
+  std::string name() const override { return inner_.name(); }
+  Allocation on_job_arrival(const FleetState& state, JobId arrived) override {
+    ++*calls_;
+    return inner_.on_job_arrival(state, arrived);
+  }
+  Allocation on_job_finish(const FleetState& state, JobId finished) override {
+    ++*calls_;
+    return inner_.on_job_finish(state, finished);
+  }
+  Allocation on_rebalance_tick(const FleetState& state) override {
+    ++*calls_;
+    return inner_.on_rebalance_tick(state);
+  }
+
+ private:
+  GoodputGreedyPolicy inner_;
+  int* calls_;
+};
+
+TEST_F(FleetPreemption, ObsScopeRecordsFleetMetricsWithoutChangingTheRun) {
+  const auto trace = mixed_trace(8, 123);
+  obs::MetricsRegistry registry;
+  int calls = 0;
+  FleetOptions options;
+  options.seed = 17;
+  options.max_epochs_per_job = 400;
+  options.checkpoint_every_epochs = 3;
+  options.checkpoint_root = dir_ + "/observed";
+  options.rebalance_interval_seconds = 500.0;
+  options.obs = obs::Scope(nullptr, &registry);
+  FleetSim fleet(sim::cluster_b(),
+                 std::make_unique<CountingPolicy>(sim::cluster_b(), &calls),
+                 options);
+  fleet.submit(trace);
+  const FleetResult observed = fleet.run();
+
+  EXPECT_GT(calls, 0);
+  EXPECT_EQ(registry.histogram("fleet.policy_decision_us").count,
+            static_cast<std::size_t>(calls));
+  EXPECT_EQ(registry.counter("fleet.preemptions"),
+            static_cast<double>(observed.preemptions));
+  EXPECT_GT(observed.checkpoints_written, 0);
+  EXPECT_GT(registry.counter("fleet.checkpoint_bytes"), 0.0);
+  const auto names = registry.names();
+  EXPECT_NE(std::find(names.begin(), names.end(),
+                      std::make_pair(std::string("fleet.queue_length"),
+                                     std::string("gauge"))),
+            names.end());
+  // A count of waiting jobs: within [0, trace size].
+  EXPECT_GE(registry.gauge("fleet.queue_length"), 0.0);
+  EXPECT_LE(registry.gauge("fleet.queue_length"),
+            static_cast<double>(trace.size()));
+
+  expect_same_virtual_metrics(observed,
+                              run_goodput_fleet(trace, dir_ + "/plain"));
 }
 
 }  // namespace

@@ -3,17 +3,21 @@
 // multi-job fleet over them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/temp_dir.h"
 #include "sched/elastic_job.h"
 #include "sched/fleet.h"
 #include "sched/model_bank.h"
 #include "sched/scheduler.h"
 #include "sim/cluster_factory.h"
-#include "temp_dir.h"
 #include "workloads/registry.h"
 
 namespace cannikin::sched {
@@ -174,6 +178,99 @@ TEST(GoodputScheduler, ComputeHungryJobGetsTheFastGpus) {
   EXPECT_GE(a100_to_imagenet, 3);
 }
 
+TEST(GoodputScheduler, NodeClassesIgnoreOnlyTheHostName) {
+  sim::ClusterSpec cluster;
+  cluster.nodes = {
+      {sim::GpuModel::kA100, "a", 1.0, 2.0},
+      {sim::GpuModel::kA100, "b", 1.0, 2.0},  // differs only in host
+      {sim::GpuModel::kA100, "c", 0.5, 2.0},  // contention
+      {sim::GpuModel::kA100, "d", 1.0, 1.5},  // host_speed
+      {sim::GpuModel::kV100, "e", 1.0, 2.0},  // gpu
+      {sim::GpuModel::kA100, "f", 0.5, 2.0},
+  };
+  const GoodputScheduler scheduler(cluster);
+  EXPECT_EQ(scheduler.node_classes(), (std::vector<int>{0, 0, 1, 2, 3, 1}));
+}
+
+// The memoized curves must answer bitwise like a cold scheduler, for
+// any node order, GNS and workload, after arbitrary earlier traffic.
+TEST(GoodputScheduler, WarmAnswersAreBitwiseThoseOfAFreshScheduler) {
+  const std::vector<const workloads::Workload*> mix{
+      &workloads::by_name("cifar10"), &workloads::by_name("movielens"),
+      &workloads::by_name("imagenet")};
+  const std::vector<double> gns_values{0.0, 150.0, 2000.0, 40000.0};
+  Rng rng(515);
+  for (const sim::ClusterSpec& cluster :
+       {sim::cluster_a(), sim::cluster_b(), sim::cluster_c()}) {
+    std::vector<std::vector<int>> subsets;
+    for (int draw = 0; draw < 12; ++draw) {
+      std::vector<int> ids(static_cast<std::size_t>(cluster.size()));
+      std::iota(ids.begin(), ids.end(), 0);
+      std::shuffle(ids.begin(), ids.end(), rng.engine());
+      ids.resize(static_cast<std::size_t>(
+          rng.uniform_int(1, static_cast<std::int64_t>(cluster.size()))));
+      subsets.push_back(ids);
+      // The same nodes again in another order: same classes, new key.
+      std::shuffle(ids.begin(), ids.end(), rng.engine());
+      subsets.push_back(ids);
+    }
+    const GoodputScheduler warm(cluster);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const auto& ids : subsets) {
+        for (const workloads::Workload* workload : mix) {
+          for (double gns : gns_values) {
+            const SchedulerJobInfo job{workload, gns, 1};
+            const double cached = warm.estimated_goodput(job, ids);
+            if (pass == 0) continue;
+            EXPECT_EQ(cached,
+                      GoodputScheduler(cluster).estimated_goodput(job, ids))
+                << cluster.name << " " << workload->name << " gns " << gns
+                << " on " << ids.size() << " nodes";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GoodputScheduler, WorkloadIsRecognisedByValueNotAddress) {
+  const std::vector<int> ids{0, 4, 8, 9};
+  workloads::Workload workload = workloads::by_name("cifar10");
+  const GoodputScheduler warm(sim::cluster_b());
+  const double before = warm.estimated_goodput({&workload, 500.0, 1}, ids);
+  // Same address, new contents: the memo must not serve the old curve.
+  workload.profile.per_sample_forward *= 3.0;
+  workload.max_total_batch /= 2;
+  const SchedulerJobInfo job{&workload, 500.0, 1};
+  const double after = warm.estimated_goodput(job, ids);
+  EXPECT_NE(after, before);
+  EXPECT_EQ(after,
+            GoodputScheduler(sim::cluster_b()).estimated_goodput(job, ids));
+}
+
+TEST(GoodputScheduler, AllocateSubsetIsTheSameColdOrWarm) {
+  const auto& cifar = workloads::by_name("cifar10");
+  const auto& movielens = workloads::by_name("movielens");
+  const auto& imagenet = workloads::by_name("imagenet");
+  const std::vector<std::pair<std::vector<SchedulerJobInfo>, std::vector<int>>>
+      cases{
+          {{{&cifar, 500.0, 2}, {&imagenet, 1000.0, 2}},
+           {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}},
+          {{{&movielens, 5000.0, 1}, {&imagenet, 5000.0, 1}},
+           {15, 3, 7, 1, 9, 4}},
+          {{{&imagenet, 300.0, 1}, {&cifar, 8000.0, 1}, {&movielens, 20.0, 1}},
+           {2, 5, 8, 11, 14, 0, 6}},
+          {{{&cifar, 500.0, 3}, {&imagenet, 1000.0, 2}}, {2, 3, 5, 7, 11, 13}},
+      };
+  const GoodputScheduler warm(sim::cluster_b());
+  for (const auto& [jobs, pool] : cases) warm.allocate_subset(jobs, pool);
+  for (const auto& [jobs, pool] : cases) {
+    const Allocation cold =
+        GoodputScheduler(sim::cluster_b()).allocate_subset(jobs, pool);
+    EXPECT_EQ(warm.allocate_subset(jobs, pool), cold) << cold.to_string();
+  }
+}
+
 // ------------------------------------------------------------ ElasticJob
 
 TEST(ElasticJob, RunsAndMakesProgress) {
@@ -242,7 +339,7 @@ TEST(MultiJob, AllJobsCompleteAndSchedulerBeatsStaticPartition) {
   // goodput scheduler routes them to compute-hungry ImageNet instead.
   const std::vector<const workloads::Workload*> jobs{
       &workloads::by_name("movielens"), &workloads::by_name("imagenet")};
-  const test::TempDir temp("cannikin-multi-job");
+  const TempDir temp("cannikin-multi-job");
   auto run = [&](std::unique_ptr<SchedulingPolicy> policy,
                  const std::string& subdir) {
     FleetOptions options;

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/temp_dir.h"
 #include "obs/metrics.h"
 #include "obs/scope.h"
 #include "sched/fault_recovery.h"
@@ -20,15 +21,12 @@
 #include "sim/cluster_factory.h"
 #include "sim/faults.h"
 #include "workloads/registry.h"
-#include "temp_dir.h"
 
 namespace {
 
 using namespace cannikin;
 
 constexpr int kMaxEpochs = 400;
-
-using test::TempDir;
 
 sched::TrainingSupervisor make_supervisor(const std::string& dir,
                                           sched::SupervisorOptions options =
