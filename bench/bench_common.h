@@ -93,8 +93,8 @@ inline void shape_check(bool ok, const std::string& claim) {
 
 /// Machine-readable bench reporter: every measurement a bench binary
 /// prints also lands in an obs::MetricsRegistry and is written out as a
-/// BENCH_*.json file (same "context" + "benchmarks" shape as the
-/// committed BENCH_overlap.json), so bench trajectories accumulate as
+/// BENCH_*.json file (a "context" object plus a flat "benchmarks" array,
+/// as in the committed BENCH_obs.json), so bench trajectories accumulate as
 /// files instead of scrollback. Subsystems under test record into the
 /// same registry via scope(), putting their internal comm/sched metrics
 /// next to the bench's own numbers in one artifact.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/stats.h"
 #include "core/optperf.h"
 
 namespace cannikin::baselines {
@@ -45,14 +44,8 @@ double AdaptDlSystem::predict_time(int total_batch) const {
     const double per_sample = 0.5 * stat.first / b;
     return fixed + per_sample * total_batch;
   }
-  std::vector<double> xs, ys;
-  for (const auto& [b, stat] : observed_) {
-    xs.push_back(static_cast<double>(b));
-    ys.push_back(stat.first);
-  }
-  const auto fit = fit_line(xs, ys);
-  if (!fit) return ys.back();
-  const double predicted = fit->slope * total_batch + fit->intercept;
+  if (!fit_) return observed_.rbegin()->second.first;
+  const double predicted = fit_->slope * total_batch + fit_->intercept;
   return std::max(predicted, 1e-6);
 }
 
@@ -86,6 +79,16 @@ void AdaptDlSystem::observe_epoch(const sim::EpochObservation& obs) {
   auto& [mean, count] = observed_[planned_total_];
   mean = (mean * count + batch_time) / (count + 1);
   ++count;
+
+  fit_.reset();
+  if (observed_.size() >= 2) {
+    std::vector<double> xs, ys;
+    for (const auto& [b, stat] : observed_) {
+      xs.push_back(static_cast<double>(b));
+      ys.push_back(stat.first);
+    }
+    fit_ = fit_line(xs, ys);
+  }
 }
 
 }  // namespace cannikin::baselines

@@ -10,8 +10,10 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <vector>
 
+#include "common/stats.h"
 #include "core/goodput.h"
 #include "experiments/training_system.h"
 
@@ -27,10 +29,12 @@ class AdaptDlSystem : public experiments::TrainingSystem {
   void observe_epoch(const sim::EpochObservation& obs) override;
   void observe_gns(double gns) override { gns_ = gns; }
 
+  /// Predicted batch time for a candidate total batch size: the observed
+  /// mean for an observed size, else the line fit. Exposed for tests.
+  double predict_time(int total_batch) const;
+
  private:
   std::vector<int> even_split(int total) const;
-  /// Predicted batch time for a candidate total batch size.
-  double predict_time(int total_batch) const;
 
   int num_nodes_;
   int initial_total_batch_;
@@ -42,6 +46,9 @@ class AdaptDlSystem : public experiments::TrainingSystem {
   int planned_total_ = 0;
   // observed mean batch time per total batch size
   std::map<int, std::pair<double, int>> observed_;
+  // Line fit through observed_ once it has two points; refit when
+  // observed_ changes, not per candidate in predict_time.
+  std::optional<LinearFit> fit_;
 };
 
 }  // namespace cannikin::baselines

@@ -21,32 +21,39 @@ HetPipeSystem::HetPipeSystem(const sim::ClusterJob* job, int total_batch,
   }
 }
 
-double HetPipeSystem::batch_time() const {
+double HetPipeSystem::per_sample_stage() const {
   const int n = job_->size();
-  const auto& profile = job_->job();
+  std::vector<double> speeds;
+  for (int i = 0; i < n; ++i) speeds.push_back(job_->speed(i));
+  if (speeds == memo_speeds_) return memo_stage_;
 
   // Partition a synthetic per-layer cost profile of the model across
   // the nodes with the exact min-max DP; HetPipe also optimizes stage
   // placement, approximated here by trying ascending, descending and
   // natural node orders and keeping the best.
+  const auto& profile = job_->job();
   const double w_sample = profile.per_sample_forward +
                           profile.per_sample_load +
                           profile.per_sample_backward;
   const auto layer_costs = synthetic_layer_costs(std::max(48, 3 * n),
                                                  w_sample);
-  std::vector<double> speeds;
-  for (int i = 0; i < n; ++i) speeds.push_back(job_->speed(i));
-
-  double per_sample_stage = std::numeric_limits<double>::infinity();
+  double best = std::numeric_limits<double>::infinity();
   for (int order = 0; order < 3; ++order) {
     std::vector<double> ordered = speeds;
     if (order == 1) std::sort(ordered.begin(), ordered.end());
     if (order == 2) std::sort(ordered.rbegin(), ordered.rend());
-    per_sample_stage =
-        std::min(per_sample_stage,
-                 partition_pipeline(layer_costs, ordered).max_stage_time);
+    best = std::min(best,
+                    partition_pipeline(layer_costs, ordered).max_stage_time);
   }
-  const double stage_time = per_sample_stage * micro_batch_;
+  memo_speeds_ = std::move(speeds);
+  memo_stage_ = best;
+  return best;
+}
+
+double HetPipeSystem::batch_time() const {
+  const int n = job_->size();
+  const auto& profile = job_->job();
+  const double stage_time = per_sample_stage() * micro_batch_;
 
   const int micro_batches = std::max(
       1, (total_batch_ + micro_batch_ - 1) / micro_batch_);

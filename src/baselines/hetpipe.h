@@ -19,6 +19,8 @@
 // partition, zero pipeline stalls beyond the bubble).
 #pragma once
 
+#include <vector>
+
 #include "experiments/training_system.h"
 #include "sim/cluster.h"
 
@@ -41,10 +43,18 @@ class HetPipeSystem : public experiments::TrainingSystem {
   double batch_time() const;
 
  private:
+  /// Per-sample time of the slowest pipeline stage. Costs three
+  /// O(n L^2) partition DPs, so it is memoized on the node speeds, its
+  /// only input that can change: set_contention rescales them in place,
+  /// so the key is the speed values, not the job pointer.
+  double per_sample_stage() const;
+
   const sim::ClusterJob* job_;
   int total_batch_;
   int micro_batch_;
   double stage_overhead_;
+  mutable std::vector<double> memo_speeds_;
+  mutable double memo_stage_ = 0.0;
 };
 
 }  // namespace cannikin::baselines

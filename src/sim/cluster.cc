@@ -111,7 +111,9 @@ std::vector<NodeBatchTiming> ClusterJob::timings(
 
 double ClusterJob::true_batch_time(
     const std::vector<double>& local_batches) const {
-  return simulate_batch(timings(local_batches), comm_).batch_time;
+  BatchTimeKernel kernel(comm_, job_.gamma);
+  for (const auto& node : timings(local_batches)) kernel.add(node.a, node.p);
+  return kernel.finish_batch();
 }
 
 BatchTimeline ClusterJob::true_timeline(
@@ -136,18 +138,20 @@ EpochObservation ClusterJob::run_epoch(const std::vector<int>& local_batches,
   std::vector<double> p_sum(base.size(), 0.0);
   double time_sum = 0.0;
 
-  std::vector<NodeBatchTiming> jittered(base.size());
+  // Only the batch time of each step is kept, so the batch loop runs
+  // the allocation-free kernel rather than building a BatchTimeline.
+  BatchTimeKernel kernel(comm_, job_.gamma);
   for (int batch = 0; batch < num_batches; ++batch) {
     for (std::size_t i = 0; i < base.size(); ++i) {
       const double jitter =
           noise_.enabled ? rng_.lognormal_jitter(noise_.run_sigma) : 1.0;
-      jittered[i].a = base[i].a * jitter;
-      jittered[i].p = base[i].p * jitter;
-      jittered[i].gamma = job_.gamma;
-      a_sum[i] += jittered[i].a;
-      p_sum[i] += jittered[i].p;
+      const double a = base[i].a * jitter;
+      const double p = base[i].p * jitter;
+      a_sum[i] += a;
+      p_sum[i] += p;
+      kernel.add(a, p);
     }
-    double step_time = simulate_batch(jittered, comm_).batch_time;
+    double step_time = kernel.finish_batch();
     // Accumulation micro-steps: compute only, no synchronization, the
     // step gated by the slowest node each time.
     for (int micro = 1; micro < accumulation_steps; ++micro) {

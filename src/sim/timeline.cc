@@ -10,14 +10,7 @@ double bucket_ready_time(const NodeBatchTiming& timing, int j,
   if (j < 0 || j >= num_buckets) {
     throw std::out_of_range("bucket_ready_time: bad bucket index");
   }
-  if (num_buckets == 1) {
-    // A single bucket cannot overlap with anything: it is ready when the
-    // whole backward pass completes.
-    return timing.compute_time();
-  }
-  const double span = (1.0 - timing.gamma) * timing.p;
-  return timing.sync_start() +
-         span * static_cast<double>(j) / static_cast<double>(num_buckets - 1);
+  return BucketReadiness(timing.a, timing.p, timing.gamma).at(j, num_buckets);
 }
 
 BatchTimeline simulate_batch(const std::vector<NodeBatchTiming>& nodes,
@@ -34,7 +27,8 @@ BatchTimeline simulate_batch(const std::vector<NodeBatchTiming>& nodes,
   for (int j = 0; j < comm.num_buckets; ++j) {
     double ready = 0.0;
     for (const auto& node : nodes) {
-      ready = std::max(ready, bucket_ready_time(node, j, comm.num_buckets));
+      ready = std::max(ready, BucketReadiness(node.a, node.p, node.gamma)
+                                  .at(j, comm.num_buckets));
     }
     const double start = std::max(ready, prev_finish);
     if (j > 0 && ready > prev_finish) saturated = false;
@@ -46,6 +40,26 @@ BatchTimeline simulate_batch(const std::vector<NodeBatchTiming>& nodes,
   out.batch_time = prev_finish;
   out.communication_saturated = saturated;
   return out;
+}
+
+BatchTimeKernel::BatchTimeKernel(const CommSchedule& comm, double gamma)
+    : gamma_(gamma),
+      bucket_time_(static_cast<std::size_t>(comm.num_buckets)),
+      ready_(static_cast<std::size_t>(comm.num_buckets), 0.0) {
+  for (int j = 0; j < comm.num_buckets; ++j) {
+    bucket_time_[static_cast<std::size_t>(j)] = comm.bucket_time(j);
+  }
+}
+
+double BatchTimeKernel::finish_batch() {
+  // Communication is serialized: bucket j starts once every node has it
+  // ready and bucket j-1 has finished.
+  double prev_finish = 0.0;
+  for (std::size_t j = 0; j < ready_.size(); ++j) {
+    prev_finish = std::max(ready_[j], prev_finish) + bucket_time_[j];
+    ready_[j] = 0.0;
+  }
+  return prev_finish;
 }
 
 double closed_form_batch_time(const std::vector<NodeBatchTiming>& nodes,

@@ -1,7 +1,10 @@
 // Tests for the baseline policies: DDP, AdaptDL, LB-BSP, HetPipe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <vector>
 
 #include "baselines/adaptdl.h"
 #include "baselines/ddp.h"
@@ -157,6 +160,57 @@ TEST(AdaptDl, StaysSmallWhenNoiseLow) {
   }
 }
 
+// AdaptDL fits its batch-time line once per observation, not once per
+// candidate. After every observation, its predictions off the observed
+// sizes must lie on the least-squares line through the current means,
+// and it must plan exactly as a fresh system replayed with the same
+// observations does.
+TEST(AdaptDl, CachedFitMatchesReplay) {
+  // Noisy epochs, so repeated sizes move their observed means.
+  sim::ClusterJob job(sim::cluster_b(), workloads::by_name("cifar10").profile,
+                      sim::NoiseConfig{}, 7);
+  AdaptDlSystem live(16, 64, 4096, caps_of(job));
+  live.observe_gns(2e3);
+  std::vector<sim::EpochObservation> seen;
+  std::set<int> sizes;
+  auto plan = live.plan_epoch();
+  for (int epoch = 0; epoch < 12; ++epoch) {
+    sizes.insert(plan.total_batch);
+    seen.push_back(job.run_epoch(plan.local_batches, 2));
+    live.observe_epoch(seen.back());
+
+    if (sizes.size() >= 2) {
+      std::vector<double> xs, ys;
+      for (int b : sizes) {
+        xs.push_back(b);
+        ys.push_back(live.predict_time(b));
+      }
+      const auto fit = fit_line(xs, ys);
+      ASSERT_TRUE(fit.has_value());
+      for (int b : {1, 333, 5000}) {
+        ASSERT_EQ(sizes.count(b), 0u);
+        EXPECT_EQ(live.predict_time(b),
+                  std::max(fit->slope * b + fit->intercept, 1e-6))
+            << "epoch " << epoch << " b=" << b;
+      }
+    }
+
+    AdaptDlSystem fresh(16, 64, 4096, caps_of(job));
+    fresh.observe_gns(2e3);
+    for (const auto& obs : seen) {
+      fresh.plan_epoch();
+      fresh.observe_epoch(obs);
+    }
+    const auto expected = fresh.plan_epoch();
+    plan = live.plan_epoch();
+    EXPECT_EQ(plan.total_batch, expected.total_batch) << "epoch " << epoch;
+    EXPECT_EQ(plan.local_batches, expected.local_batches);
+  }
+  // Both the new-size and the repeated-size paths ran.
+  EXPECT_GE(sizes.size(), 3u);
+  EXPECT_LT(sizes.size(), seen.size());
+}
+
 // ---------------------------------------------------------------- HetPipe
 
 TEST(HetPipe, BatchTimeScalesWithBatchAndBubble) {
@@ -186,6 +240,31 @@ TEST(HetPipe, FasterClusterFasterPipeline) {
   HetPipeSystem on_b(&b, 128, 4);
   HetPipeSystem on_c(&c, 128, 4);
   EXPECT_LT(on_b.batch_time(), on_c.batch_time());
+}
+
+// The partition is memoized on the node speeds: after contention
+// changes, batch_time() must equal that of a fresh system on the same
+// job, and repeated calls must return the same bits.
+TEST(HetPipe, PartitionMemoFollowsContention) {
+  auto spec = sim::cluster_b();
+  spec.network.bandwidth_bytes_per_s = 12.5e9;  // compute-bound pipeline
+  sim::ClusterJob job(spec, workloads::by_name("imagenet").profile,
+                      sim::NoiseConfig::none(), 1);
+  HetPipeSystem memo(&job, 128, 4);
+  const double before = memo.batch_time();
+  EXPECT_EQ(memo.batch_time(), before);
+
+  job.set_contention(0, 0.3);
+  job.set_contention(9, 0.6);
+  const double after = memo.batch_time();
+  EXPECT_NE(after, before);
+  EXPECT_EQ(after, HetPipeSystem(&job, 128, 4).batch_time());
+  EXPECT_EQ(memo.batch_time(), after);
+  EXPECT_EQ(memo.plan_epoch().batch_time_override, after);
+
+  job.set_contention(0, 1.0);
+  job.set_contention(9, 1.0);
+  EXPECT_EQ(memo.batch_time(), before);
 }
 
 TEST(HetPipe, Validation) {

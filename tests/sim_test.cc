@@ -2,7 +2,10 @@
 // bucketized batch timeline (Figures 1-3) and the simulated cluster.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 #include "sim/cluster.h"
@@ -163,6 +166,54 @@ TEST_P(TimelineEquivalence, EventSimMatchesClosedForm) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TimelineEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5));
 
+// The allocation-free kernel under ClusterJob::run_epoch must give
+// simulate_batch's batch time to the bit: the same readiness formula,
+// maxima and bucket chain, folded node by node instead of bucket by
+// bucket. Covers single nodes, 1024 nodes, single and many buckets,
+// gamma at both ends of (0, 1), nodes with a zero local batch (fixed
+// costs only, or none at all), nodes tied with an earlier node, and a
+// kernel reused across batches.
+TEST(BatchTimeKernel, BitwiseEqualsSimulateBatch) {
+  Rng rng(29);
+  for (int n : {1, 2, 16, 1024}) {
+    for (int buckets : {1, 2, 7, 40}) {
+      CommSchedule comm;
+      comm.num_buckets = buckets;
+      const double total_comm = rng.uniform(0.01, 2.0);
+      comm.t_last = buckets == 1 ? total_comm : total_comm / buckets;
+      comm.t_other = total_comm - comm.t_last;
+      for (double gamma : {1e-9, 1e-3, rng.uniform(0.05, 0.6), 1.0 - 1e-3,
+                           1.0 - 1e-9}) {
+        BatchTimeKernel kernel(comm, gamma);
+        for (int batch = 0; batch < 3; ++batch) {
+          std::vector<NodeBatchTiming> nodes;
+          for (int i = 0; i < n; ++i) {
+            const double kind = rng.uniform();
+            NodeBatchTiming node{0.0, 0.0, gamma};
+            if (kind < 0.2 && !nodes.empty()) {
+              // Ties with an earlier node: all of it, or its a or p.
+              node = nodes[static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))];
+              if (kind < 0.05) node.a = rng.uniform(0.01, 1.0);
+              if (kind >= 0.15) node.p = rng.uniform(0.01, 3.0);
+            } else if (kind >= 0.3) {
+              // A zero-batch node keeps only its fixed costs s and m.
+              const double scale = kind < 0.5 ? 1e-3 : 1.0;
+              node.a = scale * rng.uniform(0.01, 1.0);
+              node.p = scale * rng.uniform(0.01, 3.0);
+            }
+            nodes.push_back(node);
+            kernel.add(node.a, node.p);
+          }
+          EXPECT_EQ(kernel.finish_batch(),
+                    simulate_batch(nodes, comm).batch_time)
+              << "n=" << n << " buckets=" << buckets << " gamma=" << gamma;
+        }
+      }
+    }
+  }
+}
+
 TEST(SimulateBatch, EmptyClusterThrows) {
   CommSchedule comm{1, 0.0, 0.1};
   EXPECT_THROW(simulate_batch({}, comm), std::invalid_argument);
@@ -216,6 +267,18 @@ TEST(ClusterJob, TrueBatchTimeMatchesClosedFormOfTruth) {
               closed_form_batch_time(timings, job.comm()), 1e-12);
 }
 
+// true_batch_time runs the kernel; the full timeline is its reference.
+TEST(ClusterJob, TrueBatchTimeIsTimelineBatchTime) {
+  for (const auto& spec : {cluster_a(), cluster_b(), cluster_c()}) {
+    ClusterJob job(spec, small_job(), NoiseConfig::none(), 1);
+    std::vector<double> batches;
+    for (int i = 0; i < job.size(); ++i) batches.push_back(i * 7 % 23 + 0.5);
+    batches[0] = 0.0;
+    EXPECT_EQ(job.true_batch_time(batches),
+              job.true_timeline(batches).batch_time);
+  }
+}
+
 TEST(ClusterJob, NoiselessObservationsEqualTruth) {
   ClusterJob job(cluster_a(), small_job(), NoiseConfig::none(), 1);
   const std::vector<int> batches{30, 20, 10};
@@ -256,6 +319,69 @@ TEST(ClusterJob, RunEpochValidatesArguments) {
   EXPECT_THROW(job.run_epoch({1, 2}, 4), std::invalid_argument);
   EXPECT_THROW(job.run_epoch({1, 2, 3}, 0), std::invalid_argument);
   EXPECT_THROW(job.true_batch_time({-1.0, 2.0, 3.0}), std::invalid_argument);
+}
+
+// FNV-1a over the exact bits of every field of an epoch's observations.
+class EpochDigest {
+ public:
+  void add(const EpochObservation& epoch) {
+    add_bits(epoch.total_time);
+    add_bits(epoch.avg_batch_time);
+    add_int(epoch.num_batches);
+    add_int(static_cast<long long>(epoch.nodes.size()));
+    for (const auto& node : epoch.nodes) {
+      add_int(node.local_batch);
+      add_bits(node.a);
+      add_bits(node.p);
+      add_bits(node.gamma);
+      add_bits(node.t_other);
+      add_bits(node.t_last);
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  void add_bits(double v) { add_word(std::bit_cast<std::uint64_t>(v)); }
+  void add_int(long long v) { add_word(static_cast<std::uint64_t>(v)); }
+  void add_word(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xff;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// Pins the simulator's seeded noise stream: every observed and true
+// value of a few noisy epochs on clusters A/B/C, with and without
+// gradient accumulation, on a 2-bucket and a 7-bucket job, over the
+// clusters' own network and over a 100 Gbps one where compute and
+// communication trade the critical path (so the middle buckets' ready
+// times set batch times). Speedups of the simulator must leave this
+// digest unchanged. Only a declared noise-stream change (ROADMAP item
+// 4(b)) may re-baseline the constant.
+TEST(ClusterJob, SeededEpochStreamIsPinned) {
+  JobProfile many_buckets = small_job();
+  many_buckets.gradient_bytes = 170e6;
+  EpochDigest digest;
+  for (auto spec : {cluster_a(), cluster_b(), cluster_c()}) {
+    for (double bandwidth : {spec.network.bandwidth_bytes_per_s, 12.5e9}) {
+      spec.network.bandwidth_bytes_per_s = bandwidth;
+      for (const auto& profile : {small_job(), many_buckets}) {
+        for (int accumulation : {1, 3}) {
+          ClusterJob job(spec, profile, NoiseConfig{}, 20240611);
+          std::vector<int> batches;
+          for (int i = 0; i < job.size(); ++i) {
+            batches.push_back(i * 5 % 17 * 3);
+          }
+          for (int epoch = 0; epoch < 3; ++epoch) {
+            digest.add(job.run_epoch(batches, 4 + epoch, accumulation));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(digest.value(), 0x690d7a8b0bde7303ULL);
 }
 
 // ---------------------------------------------------------------- factory
