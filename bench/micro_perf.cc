@@ -26,6 +26,7 @@
 #include "dnn/model.h"
 #include "dnn/optimizer.h"
 #include "dnn/parallel_trainer.h"
+#include "dnn/zoo.h"
 #include "obs/scope.h"
 #include "obs/trace.h"
 #include "sim/cluster.h"
@@ -329,17 +330,87 @@ double time_gemm_seconds(dnn::kernels::KernelKind kind) {
          kCalls;
 }
 
+// The cifar10 stand-in's two convolutions at the heavier rank's share
+// (43 samples) of real_train's 64-sample batch: 3->6 channels over
+// 8x8, then 6->6 over 4x4, both 3x3 with padding 1.
+const dnn::kernels::ConvShape kCifarConvs[] = {{43, 3, 6, 8, 8, 3, 1},
+                                               {43, 6, 6, 4, 4, 3, 1}};
+
+// Nominal FLOPs of one forward + weight-gradient + input-gradient pass
+// over both convolutions (padding taps counted, as the forward does).
+double cifar_conv_flops() {
+  double flops = 0.0;
+  for (const auto& s : kCifarConvs) {
+    flops += 3.0 * 2.0 * static_cast<double>(s.batch * s.out_c * s.oh() *
+                                             s.ow() * s.in_c * s.k * s.k);
+  }
+  return flops;
+}
+
+// Times the three conv ops of both cifar10 convolutions, serial, on
+// Gaussian data with ~half the output gradients zero (as after ReLU).
+double time_conv_seconds(dnn::kernels::KernelKind kind) {
+  const dnn::kernels::KernelBackend& backend = dnn::kernels::kernel(kind);
+  dnn::kernels::Arena arena;
+  Rng rng(13);
+  struct Buffers {
+    std::vector<double> input, weight, bias, out, grad_out, weight_grad,
+        bias_grad, grad_input;
+  };
+  std::vector<Buffers> layers;
+  for (const auto& s : kCifarConvs) {
+    Buffers b;
+    const auto fill = [&rng](std::size_t n, double zero_frac) {
+      std::vector<double> v(n);
+      for (double& x : v) x = rng.bernoulli(zero_frac) ? 0.0 : rng.normal();
+      return v;
+    };
+    b.input = fill(s.batch * s.in_c * s.h * s.w, 0.0);
+    b.weight = fill(s.out_c * s.in_c * s.k * s.k, 0.0);
+    b.bias = fill(s.out_c, 0.0);
+    b.grad_out = fill(s.batch * s.out_c * s.oh() * s.ow(), 0.5);
+    b.out.assign(b.grad_out.size(), 0.0);
+    b.weight_grad.assign(b.weight.size(), 0.0);
+    b.bias_grad.assign(s.out_c, 0.0);
+    b.grad_input.assign(b.input.size(), 0.0);
+    layers.push_back(std::move(b));
+  }
+  const auto pass = [&] {
+    arena.reset();
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+      const auto& s = kCifarConvs[i];
+      Buffers& b = layers[i];
+      backend.conv2d_forward(b.input.data(), b.weight.data(), b.bias.data(),
+                             b.out.data(), s, nullptr, arena.resource());
+      backend.conv2d_backward_params(b.input.data(), b.grad_out.data(),
+                                     b.weight_grad.data(), b.bias_grad.data(),
+                                     s, nullptr, arena.resource());
+      backend.conv2d_backward_input(b.grad_out.data(), b.weight.data(),
+                                    b.grad_input.data(), s, nullptr,
+                                    arena.resource());
+      benchmark::DoNotOptimize(b.grad_input.data());
+    }
+  };
+  pass();  // warm the caches and the arena
+  constexpr int kPasses = 20;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kPasses; ++i) pass();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+             .count() /
+         kPasses;
+}
+
 struct StepBench {
   double ms_per_step = 0.0;
   double allocs_per_step = 0.0;
 };
 
 // One full training step (gather, forward, loss, streamed backward,
-// SGD update) of an MLP whose cost is GEMM-dominated; matches the
-// trainer worker's steady-state loop structure.
-StepBench run_train_steps(dnn::kernels::KernelKind kind, bool use_arena) {
-  const auto dataset = dnn::make_gaussian_mixture(256, 64, 10, 2.0, 5);
-  dnn::Model model = dnn::make_mlp(64, 256, 2, 10);
+// SGD update) over the first `batch` samples; matches the trainer
+// worker's steady-state loop structure.
+StepBench run_train_steps(dnn::kernels::KernelKind kind, bool use_arena,
+                          const dnn::InMemoryDataset& dataset,
+                          dnn::Model model, std::size_t batch) {
   Rng rng(1);
   model.init(rng);
   dnn::kernels::Arena arena;
@@ -350,7 +421,7 @@ StepBench run_train_steps(dnn::kernels::KernelKind kind, bool use_arena) {
   dnn::Sgd sgd(0.9);
   std::vector<double> gradient(model.num_params(), 0.0);
   std::vector<double> local_params(model.num_params(), 0.0);
-  std::vector<std::size_t> indices(64);
+  std::vector<std::size_t> indices(batch);
   for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
   const std::span<const std::size_t> slice(indices);
   const auto labels = dataset.gather_labels(slice);
@@ -463,10 +534,15 @@ int main(int argc, char** argv) {
   dnn_report.gauge("gemm256.optimized_gflops", flops / opt_gemm_s / 1e9);
   dnn_report.gauge("gemm256.speedup", gemm_speedup);
 
+  // An MLP whose cost is GEMM-dominated.
+  const auto mlp_data = dnn::make_gaussian_mixture(256, 64, 10, 2.0, 5);
   const StepBench naive_step =
-      run_train_steps(dnn::kernels::KernelKind::kNaive, /*use_arena=*/false);
-  const StepBench opt_step = run_train_steps(
-      dnn::kernels::KernelKind::kOptimized, /*use_arena=*/true);
+      run_train_steps(dnn::kernels::KernelKind::kNaive, /*use_arena=*/false,
+                      mlp_data, dnn::make_mlp(64, 256, 2, 10), 64);
+  const StepBench opt_step =
+      run_train_steps(dnn::kernels::KernelKind::kOptimized,
+                      /*use_arena=*/true, mlp_data,
+                      dnn::make_mlp(64, 256, 2, 10), 64);
   dnn_report.gauge("train_step.naive_heap_ms", naive_step.ms_per_step);
   dnn_report.gauge("train_step.optimized_arena_ms", opt_step.ms_per_step);
   dnn_report.gauge("train_step.speedup",
@@ -475,6 +551,35 @@ int main(int argc, char** argv) {
                    naive_step.allocs_per_step);
   dnn_report.gauge("train_step.optimized_arena_allocs_per_step",
                    opt_step.allocs_per_step);
+
+  const double naive_conv_s = best_of(3, [] {
+    return time_conv_seconds(dnn::kernels::KernelKind::kNaive);
+  });
+  const double opt_conv_s = best_of(3, [] {
+    return time_conv_seconds(dnn::kernels::KernelKind::kOptimized);
+  });
+  const double conv_speedup = naive_conv_s / opt_conv_s;
+  dnn_report.gauge("conv_cifar10.naive_gflops",
+                   cifar_conv_flops() / naive_conv_s / 1e9);
+  dnn_report.gauge("conv_cifar10.optimized_gflops",
+                   cifar_conv_flops() / opt_conv_s / 1e9);
+  dnn_report.gauge("conv_cifar10.speedup", conv_speedup);
+
+  // The cifar10 stand-in CNN at the same 43-sample share; its cost is
+  // almost all Conv2d.
+  const dnn::ZooEntry cifar = dnn::make_standin("cifar10", 256, 3);
+  const StepBench naive_cnn =
+      run_train_steps(dnn::kernels::KernelKind::kNaive, /*use_arena=*/false,
+                      *cifar.dataset, cifar.factory(), 43);
+  const StepBench opt_cnn =
+      run_train_steps(dnn::kernels::KernelKind::kOptimized,
+                      /*use_arena=*/true, *cifar.dataset, cifar.factory(), 43);
+  dnn_report.gauge("cnn_step.naive_heap_ms", naive_cnn.ms_per_step);
+  dnn_report.gauge("cnn_step.optimized_arena_ms", opt_cnn.ms_per_step);
+  dnn_report.gauge("cnn_step.speedup",
+                   naive_cnn.ms_per_step / opt_cnn.ms_per_step);
+  dnn_report.gauge("cnn_step.optimized_arena_allocs_per_step",
+                   opt_cnn.allocs_per_step);
 
   const double naive_epoch_s = best_of(2, [] {
     return run_epoch_seconds(dnn::kernels::KernelKind::kNaive);
@@ -493,10 +598,17 @@ int main(int argc, char** argv) {
       naive_step.ms_per_step, opt_step.ms_per_step,
       naive_step.allocs_per_step, opt_step.allocs_per_step, naive_epoch_s,
       opt_epoch_s, naive_epoch_s / opt_epoch_s);
+  std::printf(
+      "dnn kernels: cifar10 conv %.2f -> %.2f GFLOP/s (%.2fx)  cnn step "
+      "%.3f -> %.3fms (arena allocs/step %.1f)\n",
+      cifar_conv_flops() / naive_conv_s / 1e9,
+      cifar_conv_flops() / opt_conv_s / 1e9, conv_speedup,
+      naive_cnn.ms_per_step, opt_cnn.ms_per_step, opt_cnn.allocs_per_step);
   bench::shape_check(gemm_speedup >= 5.0,
                      "optimized GEMM is >= 5x naive at 256^3");
-  bench::shape_check(opt_step.allocs_per_step == 0.0,
-                     "arena-backed training steps are heap-allocation-free");
+  bench::shape_check(
+      opt_step.allocs_per_step == 0.0 && opt_cnn.allocs_per_step == 0.0,
+      "arena-backed training steps are heap-allocation-free");
   bench::shape_check(opt_epoch_s < naive_epoch_s,
                      "optimized kernels reduce e2e epoch wall clock");
   dnn_report.write("BENCH_dnn.json");
@@ -505,6 +617,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FAIL: optimized GEMM speedup %.2fx is below the 3x gate\n",
                  gemm_speedup);
+    return 1;
+  }
+  if (conv_speedup < 2.0) {
+    std::fprintf(stderr,
+                 "FAIL: optimized conv speedup %.2fx is below the 2x gate\n",
+                 conv_speedup);
     return 1;
   }
   return 0;

@@ -3,7 +3,10 @@
 # binary, which writes BENCH_dnn.json and exits non-zero if the
 # optimized GEMM fails to beat the naive reference by at least 3x at
 # 256x256x256 (the acceptance target is 5x; 3x is the hard floor that
-# catches a silently de-vectorized build). Run from the repository root.
+# catches a silently de-vectorized build), or if the optimized conv ops
+# at the cifar10 stand-in's shapes run below 2x the naive reference
+# (the same de-vectorization floor for Conv2d). Run from the repository
+# root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -5,8 +5,9 @@
 //                   reference semantics (and the reference the parity
 //                   fuzzer checks against).
 //   * kOptimized -- cache-blocked, vectorization-friendly loops with
-//                   fused linear+bias+activation epilogues and optional
-//                   intra-rank threading.
+//                   fused linear+bias+activation epilogues, register-
+//                   tiled convolutions and optional intra-rank
+//                   threading.
 //
 // Determinism contract (see DESIGN.md "Compute kernels"): on the
 // serial path the optimized kernels preserve the naive per-element
@@ -31,6 +32,17 @@ class ThreadPool;
 enum class Activation { kNone, kReLU, kTanh };
 
 enum class KernelKind { kNaive, kOptimized };
+
+/// Geometry of a stride-1 2-D convolution over NCHW tensors with `pad`
+/// zero cells on every border: input (batch, in_c, h, w), weight
+/// (out_c, in_c, k, k), output (batch, out_c, oh(), ow()). Requires
+/// h + 2*pad >= k and w + 2*pad >= k.
+struct ConvShape {
+  std::size_t batch = 0, in_c = 0, out_c = 0, h = 0, w = 0, k = 0, pad = 0;
+
+  std::size_t oh() const { return h + 2 * pad - k + 1; }
+  std::size_t ow() const { return w + 2 * pad - k + 1; }
+};
 
 class KernelBackend {
  public:
@@ -73,6 +85,34 @@ class KernelBackend {
                                    const double* dy, double* dx,
                                    std::size_t count,
                                    ThreadPool* pool) const = 0;
+
+  /// out = conv(input, weight) + bias; out is overwritten. Each output
+  /// element sums bias first, then its (ic, ky, kx) terms ascending,
+  /// with out-of-bounds input cells read as 0.0. `scratch` as in linear.
+  virtual void conv2d_forward(const double* input, const double* weight,
+                              const double* bias, double* out,
+                              const ConvShape& shape, ThreadPool* pool,
+                              std::pmr::memory_resource* scratch) const = 0;
+
+  /// weight_grad += dL/dW and bias_grad += dL/db, accumulating onto
+  /// the existing values. Each accumulator takes its terms in (n, oy,
+  /// ox) ascending order, skipping zero grad_out values and taps that
+  /// fall on the padding.
+  virtual void conv2d_backward_params(const double* input,
+                                      const double* grad_out,
+                                      double* weight_grad, double* bias_grad,
+                                      const ConvShape& shape, ThreadPool* pool,
+                                      std::pmr::memory_resource* scratch)
+      const = 0;
+
+  /// grad_input = dL/dInput; grad_input is overwritten. Each input cell
+  /// sums its terms in (oc, oy, ox) ascending order from 0.0, skipping
+  /// zero grad_out values.
+  virtual void conv2d_backward_input(const double* grad_out,
+                                     const double* weight, double* grad_input,
+                                     const ConvShape& shape, ThreadPool* pool,
+                                     std::pmr::memory_resource* scratch)
+      const = 0;
 
   /// SGD with momentum and (coupled) weight decay, in place.
   virtual void sgd_step(double* params, const double* grads, double* velocity,

@@ -7,14 +7,17 @@
 // added after the full sum; activation last). Blocking only regroups
 // *which element* is worked on when -- never the order of additions
 // within one element -- and the v == 0.0 skip structure is replicated
-// where the reference has it (matmul_nn / matmul_tn_acc yes, linear
-// no). The k-innermost axpy loops carry no cross-iteration dependence
-// on the j axis, so the compiler vectorizes them without reassociating
-// any element's sum. This TU compiles with -ffp-contract=off plus
+// where the reference has it (matmul_nn / matmul_tn_acc and the conv
+// gradients yes, linear and the conv forward no). The k-innermost axpy
+// loops carry no cross-iteration dependence on the j axis, so the
+// compiler vectorizes them without reassociating any element's sum;
+// the conv ops keep their own order per accumulator, documented at
+// each op. This TU compiles with -ffp-contract=off plus
 // -O3/-march=native (see src/dnn/CMakeLists.txt): contraction off
 // keeps rounding identical to the reference, SIMD supplies the speed.
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory_resource>
 
 #include "dnn/kernels/backends.h"
@@ -41,22 +44,116 @@ double apply(Activation act, double x) {
 
 // Scratch buffer carved from the caller's memory resource; deallocate
 // is a no-op on the arena and a real free on the heap fallback.
+template <typename T = double>
 class ScratchBuffer {
  public:
   ScratchBuffer(std::pmr::memory_resource* mr, std::size_t count)
       : mr_(mr), count_(count) {
-    data_ = static_cast<double*>(
-        mr_->allocate(count_ * sizeof(double), alignof(double)));
+    data_ = static_cast<T*>(mr_->allocate(count_ * sizeof(T), alignof(T)));
   }
-  ~ScratchBuffer() { mr_->deallocate(data_, count_ * sizeof(double), alignof(double)); }
+  ~ScratchBuffer() { mr_->deallocate(data_, count_ * sizeof(T), alignof(T)); }
   ScratchBuffer(const ScratchBuffer&) = delete;
   ScratchBuffer& operator=(const ScratchBuffer&) = delete;
-  double* data() { return data_; }
+  T* data() { return data_; }
 
  private:
   std::pmr::memory_resource* mr_;
   std::size_t count_;
-  double* data_ = nullptr;
+  T* data_ = nullptr;
+};
+
+// Four doubles, one AVX2 register (GCC/Clang vector extension). Lane
+// arithmetic is the scalar IEEE operation per lane. The conv kernels
+// hold their accumulator tiles in these: the same tile as a local
+// double array stays in memory, and each term then round-trips
+// through a store.
+using Lanes = double __attribute__((vector_size(32)));
+constexpr std::size_t kLaneWidth = 4;
+
+Lanes load_lanes(const double* p) {
+  Lanes v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store_lanes(double* p, Lanes v) { std::memcpy(p, &v, sizeof v); }
+
+// Not `Lanes{} + v`: +0.0 + -0.0 is +0.0.
+constexpr Lanes broadcast(double v) { return Lanes{v, v, v, v}; }
+
+// Adding -0.0 returns its other operand bit for bit, whatever it is
+// (under the default round-to-nearest), so `acc += skip ? -0.0 : term`
+// is an exact, branch-free form of `if (!skip) acc += term` that
+// keeps the select off the accumulator's dependency chain.
+constexpr Lanes kNegZero = broadcast(-0.0);
+
+// A conv tile: kTileLanes registers, kConvTile doubles, accumulated in
+// registers while the terms that feed them stream past.
+constexpr std::size_t kTileLanes = 8;
+constexpr std::size_t kConvTile = kTileLanes * kLaneWidth;
+
+// Samples whose patches the weight gradient gathers at a time: bounds
+// its scratch while still amortizing each pool dispatch.
+constexpr std::size_t kPatchBlock = 4;
+
+// Scratch slots for a loop over samples: one per sample when the pool
+// may run samples concurrently, else one slot that each sample reuses.
+// Sample n uses slot n % slots.
+std::size_t sample_slots(const ThreadPool* pool, std::size_t batch) {
+  return pool != nullptr && pool->size() > 1 ? batch : 1;
+}
+
+std::size_t round_up(std::size_t n, std::size_t multiple) {
+  return (n + multiple - 1) / multiple * multiple;
+}
+
+// A conv's zero-padded input plane (hp x wp), and its output plane laid
+// out at the same row stride wp: output (oy, ox) sits at oy * wp + ox,
+// and tap (ky, kx) of it reads padded input cell oy * wp + ox +
+// ky * wp + kx. Since ox + kx < wp, no tap wraps into the next row, so
+// the flat index is the 2-D cell. The output run `span` ends at the
+// last valid output; the columns past ow in it are filler.
+struct PaddedGeometry {
+  explicit PaddedGeometry(const ConvShape& shape)
+      : s(shape),
+        wp(s.w + 2 * s.pad),
+        plane((s.h + 2 * s.pad) * wp),
+        oh(s.oh()),
+        ow(s.ow()),
+        span((oh - 1) * wp + ow) {}
+
+  // Copies sample n's (in_c, h, w) planes into zeroed (hp, wp) planes.
+  void pad(const double* input, std::size_t n, double* padded) const {
+    std::fill(padded, padded + s.in_c * plane, 0.0);
+    for (std::size_t c = 0; c < s.in_c; ++c) {
+      for (std::size_t y = 0; y < s.h; ++y) {
+        const double* row = input + ((n * s.in_c + c) * s.h + y) * s.w;
+        std::copy(row, row + s.w,
+                  padded + c * plane + (y + s.pad) * wp + s.pad);
+      }
+    }
+  }
+
+  // Copies `rows` rows of `cols` values from stride wp to stride cols.
+  void crop(const double* src, double* dst, std::size_t rows,
+            std::size_t cols) const {
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::copy(src + r * wp, src + r * wp + cols, dst + r * cols);
+    }
+  }
+
+  ConvShape s;
+  std::size_t wp, plane, oh, ow, span;
+};
+
+// The taps [begin, end) of one kernel axis that land inside the input
+// when the output coordinate is `o`: pad <= o + t < extent + pad.
+struct TapRange {
+  TapRange(std::size_t o, std::size_t k, std::size_t pad, std::size_t extent)
+      : begin(o < pad ? std::min(k, pad - o) : 0),
+        end(std::clamp<std::size_t>(extent + pad > o ? extent + pad - o : 0,
+                                    begin, k)) {}
+  std::size_t begin, end;
 };
 
 class OptimizedKernel final : public KernelBackend {
@@ -239,6 +336,226 @@ class OptimizedKernel final : public KernelBackend {
             dx[i] = dy[i] * (1.0 - y[i] * y[i]);
           }
           break;
+      }
+    });
+  }
+
+  // Forward over a zero-padded copy of the input. The +0.0 padding is
+  // the operand the reference's bounds check returns, so every term is
+  // the same product, with no branch. A tile of kConvTile outputs (at
+  // padded-width stride, filler columns included and later dropped)
+  // stays in registers while the (ic, ky, kx) taps stream past: each
+  // output adds bias first, then its taps ascending, as in the
+  // reference.
+  void conv2d_forward(const double* input, const double* weight,
+                      const double* bias, double* out, const ConvShape& s,
+                      ThreadPool* pool,
+                      std::pmr::memory_resource* scratch) const override {
+    const PaddedGeometry g(s);
+    const std::size_t taps = s.in_c * s.k * s.k;
+    // Per sample: its padded planes, then zero slack for the reads of
+    // the last tile; then a stride-wp output plane.
+    const std::size_t in_stride = s.in_c * g.plane + kConvTile;
+    const std::size_t out_stride = round_up(g.span, kConvTile);
+    const std::size_t slots = sample_slots(pool, s.batch);
+    ScratchBuffer padded(scratch, slots * in_stride);
+    ScratchBuffer rows(scratch, slots * out_stride);
+    for_range(pool, s.batch, 1, [&](std::size_t nb, std::size_t ne) {
+      for (std::size_t n = nb; n < ne; ++n) {
+        double* pn = padded.data() + n % slots * in_stride;
+        g.pad(input, n, pn);
+        std::fill(pn + s.in_c * g.plane, pn + in_stride, 0.0);
+        double* on = rows.data() + n % slots * out_stride;
+        for (std::size_t oc = 0; oc < s.out_c; ++oc) {
+          for (std::size_t i0 = 0; i0 < g.span; i0 += kConvTile) {
+            Lanes acc[kTileLanes];
+            for (Lanes& a : acc) a = broadcast(bias[oc]);
+            const double* wt = weight + oc * taps;
+            for (std::size_t ic = 0; ic < s.in_c; ++ic) {
+              for (std::size_t ky = 0; ky < s.k; ++ky) {
+                const double* src = pn + ic * g.plane + ky * g.wp + i0;
+                for (std::size_t kx = 0; kx < s.k; ++kx) {
+                  const double wv = *wt++;
+                  for (std::size_t l = 0; l < kTileLanes; ++l) {
+                    acc[l] += wv * load_lanes(src + kx + l * kLaneWidth);
+                  }
+                }
+              }
+            }
+            for (std::size_t l = 0; l < kTileLanes; ++l) {
+              store_lanes(on + i0 + l * kLaneWidth, acc[l]);
+            }
+          }
+          g.crop(on, out + (n * s.out_c + oc) * g.oh * g.ow, g.oh, g.ow);
+        }
+      }
+    });
+  }
+
+  // Each output position's input patch is gathered once (im2col, from
+  // a padded copy, rows padded to whole tiles), kPatchBlock samples at
+  // a time, so a tile of one filter's elements stays in registers while
+  // the positions stream past. Every filter element is its own
+  // accumulator: one serial chain per element over (n, oy, ox) would be
+  // latency-bound. Per element the terms still arrive in (n, oy, ox)
+  // order. The zero-gradient skip stays a branch (for the filter, a
+  // whole position drops out); the padding-tap skip is an add of -0.0
+  // selected by a per-position tap mask.
+  void conv2d_backward_params(const double* input, const double* grad_out,
+                              double* weight_grad, double* bias_grad,
+                              const ConvShape& s, ThreadPool* pool,
+                              std::pmr::memory_resource* scratch)
+      const override {
+    const PaddedGeometry g(s);
+    const std::size_t positions = g.oh * g.ow;
+    const std::size_t taps = s.in_c * s.k * s.k;
+    const std::size_t row = round_up(taps, kConvTile);
+    const std::size_t block = std::min(s.batch, kPatchBlock);
+    ScratchBuffer<std::size_t> offsets(scratch, taps);
+    ScratchBuffer mask(scratch, positions * row);
+    ScratchBuffer padded(scratch, block * s.in_c * g.plane);
+    ScratchBuffer cols(scratch, block * positions * row);
+    for (std::size_t ic = 0, t = 0; ic < s.in_c; ++ic) {
+      for (std::size_t ky = 0; ky < s.k; ++ky) {
+        for (std::size_t kx = 0; kx < s.k; ++kx) {
+          offsets.data()[t++] = ic * g.plane + ky * g.wp + kx;
+        }
+      }
+    }
+    std::fill(mask.data(), mask.data() + positions * row, 0.0);
+    for (std::size_t oy = 0; oy < g.oh; ++oy) {
+      const TapRange ys(oy, s.k, s.pad, s.h);
+      for (std::size_t ox = 0; ox < g.ow; ++ox) {
+        const TapRange xs(ox, s.k, s.pad, s.w);
+        double* m = mask.data() + (oy * g.ow + ox) * row;
+        for (std::size_t ic = 0; ic < s.in_c; ++ic) {
+          for (std::size_t ky = ys.begin; ky < ys.end; ++ky) {
+            std::fill(m + (ic * s.k + ky) * s.k + xs.begin,
+                      m + (ic * s.k + ky) * s.k + xs.end, 1.0);
+          }
+        }
+      }
+    }
+    for (std::size_t n0 = 0; n0 < s.batch; n0 += block) {
+      const std::size_t count = std::min(block, s.batch - n0);
+      for_range(pool, count, 1, [&](std::size_t jb, std::size_t je) {
+        for (std::size_t j = jb; j < je; ++j) {
+          double* pj = padded.data() + j * s.in_c * g.plane;
+          g.pad(input, n0 + j, pj);
+          for (std::size_t oy = 0; oy < g.oh; ++oy) {
+            for (std::size_t ox = 0; ox < g.ow; ++ox) {
+              const double* base = pj + oy * g.wp + ox;
+              double* col = cols.data() + (j * positions + oy * g.ow + ox) * row;
+              for (std::size_t t = 0; t < taps; ++t) {
+                col[t] = base[offsets.data()[t]];
+              }
+              std::fill(col + taps, col + row, 0.0);
+            }
+          }
+        }
+      });
+      for_range(pool, s.out_c, 1, [&](std::size_t ocb, std::size_t oce) {
+        for (std::size_t oc = ocb; oc < oce; ++oc) {
+          // The bias rides along with the first tile. A loop of its own
+          // would be if-converted and vectorized into adds of +0.0,
+          // which turn a -0.0 bias gradient into +0.0.
+          double b = bias_grad[oc];
+          double* wg = weight_grad + oc * taps;
+          for (std::size_t t0 = 0; t0 < taps; t0 += kConvTile) {
+            const std::size_t width = std::min(kConvTile, taps - t0);
+            double tile[kConvTile] = {};
+            std::copy(wg + t0, wg + t0 + width, tile);
+            Lanes acc[kTileLanes];
+            for (std::size_t l = 0; l < kTileLanes; ++l) {
+              acc[l] = load_lanes(tile + l * kLaneWidth);
+            }
+            for (std::size_t j = 0; j < count; ++j) {
+              const double* gj =
+                  grad_out + ((n0 + j) * s.out_c + oc) * positions;
+              const double* cj = cols.data() + j * positions * row + t0;
+              for (std::size_t p = 0; p < positions; ++p) {
+                const double gv = gj[p];
+                if (gv == 0.0) continue;
+                if (t0 == 0) b += gv;
+                const double* col = cj + p * row;
+                const double* m = mask.data() + p * row + t0;
+                for (std::size_t l = 0; l < kTileLanes; ++l) {
+                  const Lanes term = gv * load_lanes(col + l * kLaneWidth);
+                  acc[l] += load_lanes(m + l * kLaneWidth) != 0.0 ? term
+                                                                  : kNegZero;
+                }
+              }
+            }
+            for (std::size_t l = 0; l < kTileLanes; ++l) {
+              store_lanes(tile + l * kLaneWidth, acc[l]);
+            }
+            std::copy(tile, tile + width, wg + t0);
+          }
+          bias_grad[oc] = b;
+        }
+      });
+    }
+  }
+
+  // The scatter of the reference, turned into a gather: padded input
+  // cell i takes output gradient i - ky * wp - kx through tap (ky, kx)
+  // (see PaddedGeometry). For one cell and one oc, the taps walked in
+  // descending order are the outputs (oy, ox) in ascending order, so
+  // each cell keeps the reference's (oc, oy, ox) order. The gradient
+  // planes sit at stride wp with zeros around them; every zero, real
+  // or filler, is skipped as an add of -0.0.
+  void conv2d_backward_input(const double* grad_out, const double* weight,
+                             double* grad_input, const ConvShape& s,
+                             ThreadPool* pool,
+                             std::pmr::memory_resource* scratch)
+      const override {
+    const PaddedGeometry g(s);
+    // Per oc: `front` zeros so the furthest tap reads stay in bounds,
+    // the stride-wp gradient plane, and zero slack for the last tile.
+    const std::size_t front = (s.k - 1) * g.wp + (s.k - 1);
+    const std::size_t grad_stride = front + g.plane + kConvTile;
+    // Only the rows pad .. pad + h - 1 of the padded plane are cells.
+    const std::size_t first = s.pad * g.wp, last = (s.pad + s.h) * g.wp;
+    const std::size_t cell_stride = g.plane + kConvTile;
+    const std::size_t slots = sample_slots(pool, s.batch);
+    ScratchBuffer grads(scratch, slots * s.out_c * grad_stride);
+    ScratchBuffer cells(scratch, slots * cell_stride);
+    for_range(pool, s.batch, 1, [&](std::size_t nb, std::size_t ne) {
+      for (std::size_t n = nb; n < ne; ++n) {
+        double* gn = grads.data() + n % slots * s.out_c * grad_stride;
+        std::fill(gn, gn + s.out_c * grad_stride, 0.0);
+        for (std::size_t oc = 0; oc < s.out_c; ++oc) {
+          const double* go = grad_out + (n * s.out_c + oc) * g.oh * g.ow;
+          for (std::size_t oy = 0; oy < g.oh; ++oy) {
+            std::copy(go + oy * g.ow, go + (oy + 1) * g.ow,
+                      gn + oc * grad_stride + front + oy * g.wp);
+          }
+        }
+        double* cn = cells.data() + n % slots * cell_stride;
+        for (std::size_t ic = 0; ic < s.in_c; ++ic) {
+          for (std::size_t i0 = first; i0 < last; i0 += kConvTile) {
+            Lanes acc[kTileLanes] = {};
+            for (std::size_t oc = 0; oc < s.out_c; ++oc) {
+              const double* wk = weight + (oc * s.in_c + ic) * s.k * s.k;
+              const double* src = gn + oc * grad_stride + front + i0;
+              for (std::size_t ky = s.k; ky-- > 0;) {
+                for (std::size_t kx = s.k; kx-- > 0;) {
+                  const double wv = wk[ky * s.k + kx];
+                  const double* gsrc = src - ky * g.wp - kx;
+                  for (std::size_t l = 0; l < kTileLanes; ++l) {
+                    const Lanes gl = load_lanes(gsrc + l * kLaneWidth);
+                    acc[l] += gl == 0.0 ? kNegZero : gl * wv;
+                  }
+                }
+              }
+            }
+            for (std::size_t l = 0; l < kTileLanes; ++l) {
+              store_lanes(cn + i0 + l * kLaneWidth, acc[l]);
+            }
+          }
+          g.crop(cn + first + s.pad,
+                 grad_input + (n * s.in_c + ic) * s.h * s.w, s.h, s.w);
+        }
       }
     });
   }

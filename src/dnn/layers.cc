@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dnn/kernels/thread_pool.h"
-
 namespace cannikin::dnn {
 
 // ---------------------------------------------------------------- Linear
@@ -40,28 +38,41 @@ Tensor Linear::forward(const Tensor& input) {
   return out;
 }
 
-Tensor Linear::backward(const Tensor& grad_output) {
+const double* Linear::accumulate_param_grads(const Tensor& grad_output,
+                                             Tensor& delta) {
   // grad_output: (batch, out). Parameter gradients accumulate the sum
   // over the batch; the loss is mean-reduced, so the caller's grads are
   // already scaled by 1/batch (Eq. 1's per-sample averaging).
   const kernels::Context& kc = kctx();
   const std::size_t batch = grad_output.dim(0);
-  const Tensor* delta = &grad_output;
-  Tensor delta_local;
+  const double* d = grad_output.data();
   if (act_ != kernels::Activation::kNone) {
-    delta_local = Tensor({batch, out_}, 0.0, kc.resource());
+    delta = Tensor({batch, out_}, 0.0, kc.resource());
     kc.k().activation_backward(act_, cached_output_.data(),
-                               grad_output.data(), delta_local.data(),
+                               grad_output.data(), delta.data(),
                                grad_output.size(), kc.pool);
-    delta = &delta_local;
+    d = delta.data();
   }
-  kc.k().matmul_tn_acc(delta->data(), cached_input_.data(),
-                       weight_grad_.data(), out_, batch, in_, kc.pool);
-  kc.k().col_sum_acc(delta->data(), bias_grad_.data(), batch, out_, kc.pool);
+  kc.k().matmul_tn_acc(d, cached_input_.data(), weight_grad_.data(), out_,
+                       batch, in_, kc.pool);
+  kc.k().col_sum_acc(d, bias_grad_.data(), batch, out_, kc.pool);
+  return d;
+}
+
+Tensor Linear::backward(const Tensor& grad_output) {
+  const kernels::Context& kc = kctx();
+  Tensor delta;
+  const double* d = accumulate_param_grads(grad_output, delta);
+  const std::size_t batch = grad_output.dim(0);
   Tensor grad_input({batch, in_}, 0.0, kc.resource());
-  kc.k().matmul_nn(delta->data(), weight_.data(), grad_input.data(), batch,
-                   out_, in_, kc.pool);
+  kc.k().matmul_nn(d, weight_.data(), grad_input.data(), batch, out_, in_,
+                   kc.pool);
   return grad_input;
+}
+
+void Linear::backward_params(const Tensor& grad_output) {
+  Tensor delta;
+  accumulate_param_grads(grad_output, delta);
 }
 
 std::size_t Linear::num_params() const { return weight_.size() + bias_.size(); }
@@ -157,140 +168,45 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
   }
 }
 
+kernels::ConvShape Conv2d::shape_of(const Tensor& input) const {
+  return {input.dim(0), in_c_, out_c_, input.dim(2), input.dim(3), k_, pad_};
+}
+
 Tensor Conv2d::forward(const Tensor& input) {
   if (input.rank() != 4 || input.dim(1) != in_c_) {
     throw std::invalid_argument("Conv2d::forward: bad input shape");
   }
   const kernels::Context& kc = kctx();
   cached_input_.assign(input, kc.resource());
-  const std::size_t batch = input.dim(0), h = input.dim(2), w = input.dim(3);
-  if (h + 2 * pad_ < k_ || w + 2 * pad_ < k_) {
+  const kernels::ConvShape shape = shape_of(input);
+  if (shape.h + 2 * pad_ < k_ || shape.w + 2 * pad_ < k_) {
     throw std::invalid_argument("Conv2d::forward: input smaller than kernel");
   }
-  const std::size_t oh = h + 2 * pad_ - k_ + 1;
-  const std::size_t ow = w + 2 * pad_ - k_ + 1;
-  Tensor out({batch, out_c_, oh, ow}, 0.0, kc.resource());
-
-  auto in_at = [&](std::size_t n, std::size_t c, long y, long x) -> double {
-    if (y < 0 || x < 0 || y >= static_cast<long>(h) ||
-        x >= static_cast<long>(w)) {
-      return 0.0;
-    }
-    return input[((n * in_c_ + c) * h + static_cast<std::size_t>(y)) * w +
-                 static_cast<std::size_t>(x)];
-  };
-
-  // Batch-parallel: each sample's outputs are disjoint, and every
-  // output element is one independent accumulation chain, so this is
-  // bitwise identical across thread counts.
-  kernels::for_range(
-      kc.pool, batch, 1, [&](std::size_t nb, std::size_t ne) {
-        for (std::size_t n = nb; n < ne; ++n) {
-          for (std::size_t oc = 0; oc < out_c_; ++oc) {
-            for (std::size_t oy = 0; oy < oh; ++oy) {
-              for (std::size_t ox = 0; ox < ow; ++ox) {
-                double total = bias_[oc];
-                for (std::size_t ic = 0; ic < in_c_; ++ic) {
-                  for (std::size_t ky = 0; ky < k_; ++ky) {
-                    for (std::size_t kx = 0; kx < k_; ++kx) {
-                      total +=
-                          weight_[((oc * in_c_ + ic) * k_ + ky) * k_ + kx] *
-                          in_at(n, ic,
-                                static_cast<long>(oy + ky) -
-                                    static_cast<long>(pad_),
-                                static_cast<long>(ox + kx) -
-                                    static_cast<long>(pad_));
-                    }
-                  }
-                }
-                out[((n * out_c_ + oc) * oh + oy) * ow + ox] = total;
-              }
-            }
-          }
-        }
-      });
+  Tensor out({shape.batch, out_c_, shape.oh(), shape.ow()}, 0.0,
+             kc.resource());
+  kc.k().conv2d_forward(input.data(), weight_.data(), bias_.data(), out.data(),
+                        shape, kc.pool, kc.resource());
   return out;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
   const kernels::Context& kc = kctx();
-  const Tensor& input = cached_input_;
-  const std::size_t batch = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const std::size_t oh = grad_output.dim(2), ow = grad_output.dim(3);
-  Tensor grad_input({batch, in_c_, h, w}, 0.0, kc.resource());
-
-  // Two passes with different parallel axes, each writing disjoint
-  // accumulators: pass 1 over output channels (weight/bias grads are
-  // per-oc), pass 2 over samples (grad_input is per-n). Within one
-  // accumulator the contribution order matches the original single
-  // interleaved loop -- (n, oy, ox) ascending for fixed oc, (oc, oy,
-  // ox) ascending for fixed n -- so the split is bitwise neutral.
-  kernels::for_range(
-      kc.pool, out_c_, 1, [&](std::size_t ocb, std::size_t oce) {
-        for (std::size_t oc = ocb; oc < oce; ++oc) {
-          for (std::size_t n = 0; n < batch; ++n) {
-            for (std::size_t oy = 0; oy < oh; ++oy) {
-              for (std::size_t ox = 0; ox < ow; ++ox) {
-                const double g =
-                    grad_output[((n * out_c_ + oc) * oh + oy) * ow + ox];
-                if (g == 0.0) continue;
-                bias_grad_[oc] += g;
-                for (std::size_t ic = 0; ic < in_c_; ++ic) {
-                  for (std::size_t ky = 0; ky < k_; ++ky) {
-                    const long y = static_cast<long>(oy + ky) -
-                                   static_cast<long>(pad_);
-                    if (y < 0 || y >= static_cast<long>(h)) continue;
-                    for (std::size_t kx = 0; kx < k_; ++kx) {
-                      const long x = static_cast<long>(ox + kx) -
-                                     static_cast<long>(pad_);
-                      if (x < 0 || x >= static_cast<long>(w)) continue;
-                      const std::size_t in_idx =
-                          ((n * in_c_ + ic) * h + static_cast<std::size_t>(y)) *
-                              w +
-                          static_cast<std::size_t>(x);
-                      weight_grad_[((oc * in_c_ + ic) * k_ + ky) * k_ + kx] +=
-                          g * input[in_idx];
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
-      });
-  kernels::for_range(
-      kc.pool, batch, 1, [&](std::size_t nb, std::size_t ne) {
-        for (std::size_t n = nb; n < ne; ++n) {
-          for (std::size_t oc = 0; oc < out_c_; ++oc) {
-            for (std::size_t oy = 0; oy < oh; ++oy) {
-              for (std::size_t ox = 0; ox < ow; ++ox) {
-                const double g =
-                    grad_output[((n * out_c_ + oc) * oh + oy) * ow + ox];
-                if (g == 0.0) continue;
-                for (std::size_t ic = 0; ic < in_c_; ++ic) {
-                  for (std::size_t ky = 0; ky < k_; ++ky) {
-                    const long y = static_cast<long>(oy + ky) -
-                                   static_cast<long>(pad_);
-                    if (y < 0 || y >= static_cast<long>(h)) continue;
-                    for (std::size_t kx = 0; kx < k_; ++kx) {
-                      const long x = static_cast<long>(ox + kx) -
-                                     static_cast<long>(pad_);
-                      if (x < 0 || x >= static_cast<long>(w)) continue;
-                      const std::size_t in_idx =
-                          ((n * in_c_ + ic) * h + static_cast<std::size_t>(y)) *
-                              w +
-                          static_cast<std::size_t>(x);
-                      grad_input[in_idx] +=
-                          g * weight_[((oc * in_c_ + ic) * k_ + ky) * k_ + kx];
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
-      });
+  const kernels::ConvShape shape = shape_of(cached_input_);
+  Tensor grad_input({shape.batch, in_c_, shape.h, shape.w}, 0.0,
+                    kc.resource());
+  kc.k().conv2d_backward_input(grad_output.data(), weight_.data(),
+                               grad_input.data(), shape, kc.pool,
+                               kc.resource());
   return grad_input;
+}
+
+void Conv2d::backward_params(const Tensor& grad_output) {
+  const kernels::Context& kc = kctx();
+  kc.k().conv2d_backward_params(cached_input_.data(), grad_output.data(),
+                                weight_grad_.data(), bias_grad_.data(),
+                                shape_of(cached_input_), kc.pool,
+                                kc.resource());
 }
 
 std::size_t Conv2d::num_params() const { return weight_.size() + bias_.size(); }

@@ -38,6 +38,14 @@ class Layer {
   /// gradients, returns dLoss/dInput.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// Backward for the first layer, whose dLoss/dInput nobody reads:
+  /// accumulates the same parameter gradients as backward(). The
+  /// default runs backward() and drops its result; layers whose input
+  /// gradient is a pass of its own override it to skip that pass.
+  virtual void backward_params(const Tensor& grad_output) {
+    (void)backward(grad_output);
+  }
+
   virtual std::size_t num_params() const { return 0; }
   virtual void copy_params(std::span<double> out) const { (void)out; }
   virtual void set_params(std::span<const double> in) { (void)in; }
@@ -68,6 +76,7 @@ class Linear : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::size_t num_params() const override;
   void copy_params(std::span<double> out) const override;
   void set_params(std::span<const double> in) override;
@@ -89,6 +98,10 @@ class Linear : public Layer {
   Tensor bias_grad_;
   Tensor cached_input_;
   Tensor cached_output_;  // post-activation; only cached when fused
+  // Accumulates the parameter gradients and returns the gradient at
+  // the pre-activation, held in `delta` when an activation is fused.
+  const double* accumulate_param_grads(const Tensor& grad_output,
+                                       Tensor& delta);
 };
 
 /// Elementwise rectifier.
@@ -112,8 +125,7 @@ class Tanh : public Layer {
 };
 
 /// 2-D convolution over (batch, C, H, W) tensors, stride 1, zero
-/// padding `pad`. Direct loops, batch/channel-parallel via the
-/// context's pool; models here are tiny.
+/// padding `pad`. The three passes are KernelBackend conv ops.
 class Conv2d : public Layer {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels,
@@ -121,6 +133,7 @@ class Conv2d : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::size_t num_params() const override;
   void copy_params(std::span<double> out) const override;
   void set_params(std::span<const double> in) override;
@@ -135,6 +148,8 @@ class Conv2d : public Layer {
   Tensor weight_grad_;
   Tensor bias_grad_;
   Tensor cached_input_;
+
+  kernels::ConvShape shape_of(const Tensor& input) const;
 };
 
 /// Average pool 2x2 over (batch, C, H, W); H and W must be even.

@@ -37,9 +37,13 @@ Tensor Model::forward(const Tensor& input) {
 void Model::backward(const Tensor& loss_grad) {
   const Tensor* upstream = &loss_grad;
   Tensor current;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    current = (*it)->backward(*upstream);
-    upstream = &current;
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    if (i == 0) {
+      layers_[i]->backward_params(*upstream);
+    } else {
+      current = layers_[i]->backward(*upstream);
+      upstream = &current;
+    }
   }
 }
 
@@ -57,8 +61,12 @@ void Model::backward(const Tensor& loss_grad, std::span<double> flat_grads,
   const Tensor* upstream = &loss_grad;
   Tensor current;
   for (std::size_t i = layers_.size(); i-- > 0;) {
-    current = layers_[i]->backward(*upstream);
-    upstream = &current;
+    if (i == 0) {
+      layers_[i]->backward_params(*upstream);
+    } else {
+      current = layers_[i]->backward(*upstream);
+      upstream = &current;
+    }
     const std::size_t n = layers_[i]->num_params();
     if (n == 0) continue;
     layers_[i]->copy_grads({flat_grads.data() + offsets_[i], n});

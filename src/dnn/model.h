@@ -40,6 +40,8 @@ class Model {
 
   Tensor forward(const Tensor& input);
   /// Backward from the loss gradient; accumulates parameter gradients.
+  /// The first layer runs backward_params(): its input gradient would
+  /// be discarded, so it is never computed.
   void backward(const Tensor& loss_grad);
 
   /// Backward that streams gradients out as they are produced: after

@@ -207,6 +207,34 @@ TEST(GradCheck, Conv2dSamePadding) {
       });
 }
 
+TEST(GradCheck, Conv2dPointwiseNonSquare) {
+  check_under_both_backends(
+      [] {
+        Rng rng(7);
+        auto layer = std::make_unique<Conv2d>(3, 2, 1, 0);
+        layer->init(rng);
+        return layer;
+      },
+      [] {
+        Rng rng(19);
+        return random_tensor({2, 3, 4, 5}, rng);
+      });
+}
+
+TEST(GradCheck, Conv2dFiveByFivePadTwoNonSquare) {
+  check_under_both_backends(
+      [] {
+        Rng rng(8);
+        auto layer = std::make_unique<Conv2d>(2, 3, 5, 2);
+        layer->init(rng);
+        return layer;
+      },
+      [] {
+        Rng rng(20);
+        return random_tensor({2, 2, 6, 7}, rng);
+      });
+}
+
 TEST(GradCheck, AvgPool) {
   check_under_both_backends([] { return std::make_unique<AvgPool2x2>(); },
                             [] {

@@ -13,15 +13,23 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "dnn/kernels/arena.h"
 #include "dnn/kernels/kernels.h"
 #include "dnn/kernels/thread_pool.h"
+#include "dnn/layers.h"
 
 namespace cannikin::dnn::kernels {
 namespace {
+
+using dnn::Conv2d;
+using dnn::Layer;
+using dnn::Linear;
+using dnn::Tensor;
 
 // Dimensions chosen to straddle the blocking scheme (kRowBlock = 8,
 // kKBlock = 16): below, at, just past, and far past block boundaries,
@@ -236,6 +244,201 @@ TEST(KernelParity, OptimizerStepsBitwise) {
       expect_bitwise(p_opt, p_ref, "adam_step params", count, 0, 0);
       expect_bitwise(m_opt, m_ref, "adam_step m", count, 0, 0);
       expect_bitwise(v_opt, v_ref, "adam_step v", count, 0, 0);
+    }
+  }
+}
+
+// ------------------------------------------------------ convolution
+
+// A random conv geometry: batch 1-17, 1-8 channels each way, k in
+// {1, 2, 3, 5}, pad 0..k-1, H != W, and inputs down to the smallest
+// the kernel fits (h + 2*pad == k).
+ConvShape random_conv_shape(Rng& rng) {
+  constexpr std::size_t kKernels[] = {1, 2, 3, 5};
+  ConvShape s;
+  s.batch = static_cast<std::size_t>(rng.uniform_int(1, 17));
+  s.in_c = static_cast<std::size_t>(rng.uniform_int(1, 8));
+  s.out_c = static_cast<std::size_t>(rng.uniform_int(1, 8));
+  s.k = kKernels[rng.uniform_int(0, 3)];
+  s.pad = static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(s.k) - 1));
+  const auto extent = [&] {
+    const std::size_t smallest = s.k > 2 * s.pad ? s.k - 2 * s.pad : 1;
+    // Half the draws sit at or just past the smallest input.
+    return smallest + static_cast<std::size_t>(
+                          rng.bernoulli(0.5) ? rng.uniform_int(0, 1)
+                                             : rng.uniform_int(0, 9));
+  };
+  s.h = extent();
+  do {
+    s.w = extent();
+  } while (s.w == s.h && s.w > 1);
+  return s;
+}
+
+struct ConvCase {
+  ConvShape shape;
+  std::vector<double> input, weight, bias, grad_out, weight_grad0, bias_grad0;
+};
+
+// random_values(), with half of its zeros turned into -0.0: a skipped
+// term must leave a -0.0 accumulator as it is, and a -0.0 gradient
+// must be skipped like +0.0.
+std::vector<double> signed_zero_values(std::size_t n, Rng& rng) {
+  std::vector<double> values = random_values(n, rng);
+  for (double& v : values) {
+    if (v == 0.0 && rng.bernoulli(0.5)) v = -0.0;
+  }
+  return values;
+}
+
+ConvCase random_conv_case(Rng& rng) {
+  ConvCase c;
+  c.shape = random_conv_shape(rng);
+  const ConvShape& s = c.shape;
+  c.input = signed_zero_values(s.batch * s.in_c * s.h * s.w, rng);
+  c.weight = signed_zero_values(s.out_c * s.in_c * s.k * s.k, rng);
+  c.bias = signed_zero_values(s.out_c, rng);
+  c.grad_out = signed_zero_values(s.batch * s.out_c * s.oh() * s.ow(), rng);
+  // Now and then a gradient of signed zeros only: every term is
+  // skipped, so the -0.0 seeds below must come back as -0.0.
+  if (rng.bernoulli(0.15)) {
+    for (double& g : c.grad_out) g = rng.bernoulli(0.5) ? -0.0 : 0.0;
+  }
+  // The parameter-gradient op accumulates onto these.
+  c.weight_grad0 = signed_zero_values(c.weight.size(), rng);
+  c.bias_grad0 = signed_zero_values(s.out_c, rng);
+  return c;
+}
+
+struct ConvResult {
+  std::vector<double> out, weight_grad, bias_grad, grad_input;
+};
+
+ConvResult run_conv(const KernelBackend& backend, const ConvCase& c,
+                    ThreadPool* pool, std::pmr::memory_resource* scratch) {
+  const ConvShape& s = c.shape;
+  ConvResult r;
+  r.out.assign(s.batch * s.out_c * s.oh() * s.ow(), -7.0);  // overwritten
+  r.grad_input.assign(c.input.size(), 5.0);                 // overwritten
+  r.weight_grad = c.weight_grad0;
+  r.bias_grad = c.bias_grad0;
+  backend.conv2d_forward(c.input.data(), c.weight.data(), c.bias.data(),
+                         r.out.data(), s, pool, scratch);
+  backend.conv2d_backward_params(c.input.data(), c.grad_out.data(),
+                                 r.weight_grad.data(), r.bias_grad.data(), s,
+                                 pool, scratch);
+  backend.conv2d_backward_input(c.grad_out.data(), c.weight.data(),
+                                r.grad_input.data(), s, pool, scratch);
+  return r;
+}
+
+void expect_conv_bitwise(const ConvResult& got, const ConvResult& want,
+                         const ConvShape& s, const char* what) {
+  SCOPED_TRACE(::testing::Message()
+               << what << ": batch=" << s.batch << " in_c=" << s.in_c
+               << " out_c=" << s.out_c << " h=" << s.h << " w=" << s.w
+               << " k=" << s.k << " pad=" << s.pad);
+  expect_bitwise(got.out, want.out, "conv2d_forward", s.batch, s.k, s.out_c);
+  expect_bitwise(got.weight_grad, want.weight_grad, "conv2d weight grad",
+                 s.batch, s.k, s.out_c);
+  expect_bitwise(got.bias_grad, want.bias_grad, "conv2d bias grad", s.batch,
+                 s.k, s.out_c);
+  expect_bitwise(got.grad_input, want.grad_input, "conv2d input grad",
+                 s.batch, s.k, s.in_c);
+}
+
+TEST(KernelParity, Conv2dBitwiseOnSerialPath) {
+  Rng rng(1001);
+  Arena arena;
+  for (int iter = 0; iter < kShapesPerOp; ++iter) {
+    arena.reset();
+    const ConvCase c = random_conv_case(rng);
+    const ConvResult want =
+        run_conv(naive(), c, nullptr, std::pmr::get_default_resource());
+    // The optimized ops take their padded planes from an arena, as in
+    // the trainer.
+    const ConvResult got = run_conv(optimized(), c, nullptr, arena.resource());
+    expect_conv_bitwise(got, want, c.shape, "optimized vs naive");
+  }
+}
+
+TEST(KernelParity, Conv2dBitwiseAcrossPoolSizes) {
+  Rng rng(1002);
+  ThreadPool pools[] = {ThreadPool(1), ThreadPool(2), ThreadPool(3),
+                        ThreadPool(4)};
+  for (int iter = 0; iter < 25; ++iter) {
+    const ConvCase c = random_conv_case(rng);
+    const ConvResult want =
+        run_conv(naive(), c, nullptr, std::pmr::get_default_resource());
+    for (ThreadPool& pool : pools) {
+      for (const KernelBackend* backend : {&naive(), &optimized()}) {
+        const ConvResult got =
+            run_conv(*backend, c, &pool, std::pmr::get_default_resource());
+        expect_conv_bitwise(got, want, c.shape,
+                            pool.size() == 1 ? "pool of 1" : "threaded");
+      }
+    }
+  }
+}
+
+// backward_params() skips only the input-gradient pass: the parameter
+// gradients it leaves must match a full backward() bit for bit.
+void expect_backward_params_matches(const std::function<std::unique_ptr<Layer>()>& make,
+                                    const Tensor& input, const Context* ctx) {
+  auto full = make();
+  auto params_only = make();
+  full->set_context(ctx);
+  params_only->set_context(ctx);
+  const Tensor out = full->forward(input);
+  Rng rng(31);
+  Tensor grad_out(out.shape());
+  for (std::size_t i = 0; i < grad_out.size(); ++i) {
+    grad_out[i] = rng.bernoulli(0.2) ? 0.0 : rng.normal();
+  }
+  params_only->forward(input);
+  (void)full->backward(grad_out);
+  params_only->backward_params(grad_out);
+  std::vector<double> want(full->num_params()), got(want.size());
+  full->copy_grads(want);
+  params_only->copy_grads(got);
+  expect_bitwise(got, want, "backward_params grads", input.size(), 0, 0);
+}
+
+TEST(KernelParity, BackwardParamsMatchesFullBackward) {
+  Arena arena;
+  const Context optimized_ctx{&optimized(), nullptr, arena.resource()};
+  for (const Context* ctx : {static_cast<const Context*>(nullptr),
+                             &optimized_ctx}) {
+    Rng rng(1003);
+    for (int iter = 0; iter < 12; ++iter) {
+      arena.reset();
+      const ConvShape s = random_conv_shape(rng);
+      Tensor input({s.batch, s.in_c, s.h, s.w});
+      for (std::size_t i = 0; i < input.size(); ++i) input[i] = rng.normal();
+      const auto seed = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 30));
+      expect_backward_params_matches(
+          [&] {
+            auto layer = std::make_unique<Conv2d>(s.in_c, s.out_c, s.k, s.pad);
+            Rng init(seed);
+            layer->init(init);
+            return layer;
+          },
+          input, ctx);
+      for (Activation act :
+           {Activation::kNone, Activation::kReLU, Activation::kTanh}) {
+        const std::size_t features = s.in_c * s.h;
+        Tensor flat({s.batch, features});
+        for (std::size_t i = 0; i < flat.size(); ++i) flat[i] = rng.normal();
+        expect_backward_params_matches(
+            [&] {
+              auto layer = std::make_unique<Linear>(features, s.out_c, act);
+              Rng init(seed);
+              layer->init(init);
+              return layer;
+            },
+            flat, ctx);
+      }
     }
   }
 }

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "dnn/data.h"
 #include "dnn/model.h"
 #include "dnn/parallel_trainer.h"
+#include "dnn/zoo.h"
 
 namespace cannikin::dnn {
 namespace {
@@ -157,6 +160,56 @@ TEST(ParallelTrainer, ThrottleRepsArePureCompute) {
     EXPECT_EQ(actual.gns_after, expected.gns_after);
     EXPECT_EQ(slow.params(), plain.params());
   }
+}
+
+// FNV-1a over the bit patterns of a run's doubles.
+class Fnv1a {
+ public:
+  void add(double v) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (unsigned char b : bytes) {
+      hash_ = (hash_ ^ b) * 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+TrainerOptions cnn_options(const ZooEntry& entry, comm::BackendKind backend) {
+  TrainerOptions options;
+  options.num_nodes = 2;
+  options.task = entry.task;
+  options.base_lr = entry.base_lr;
+  options.lr_scaling = entry.lr_scaling;
+  options.initial_total_batch = entry.initial_total_batch;
+  options.seed = 11;
+  options.comm_backend = backend;
+  return options;
+}
+
+TEST(ParallelTrainer, SeededCnnEpochsArePinned) {
+  // The executed trajectory of the conv stand-in -- real conv
+  // gradients, Eq. (9) weighting over an uneven 43/21 split, GNS --
+  // pinned bit for bit across kernel rewrites. The constant is the
+  // digest of the original Conv2d loops.
+  const ZooEntry entry = make_standin("cifar10", 256, 5);
+  ParallelTrainer thread(entry.dataset.get(), entry.factory,
+                         cnn_options(entry, comm::BackendKind::kThread));
+  ParallelTrainer event(entry.dataset.get(), entry.factory,
+                        cnn_options(entry, comm::BackendKind::kEvent));
+  Fnv1a digest;
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    const EpochResult result = thread.run_epoch({43, 21});
+    digest.add(result.mean_loss);
+    digest.add(result.gns_after);
+    for (double p : thread.params()) digest.add(p);
+    event.run_epoch({43, 21});
+    EXPECT_EQ(event.params(), thread.params()) << "epoch " << epoch;
+  }
+  EXPECT_EQ(digest.value(), 0x248fdd5baa3b75e8ULL);
 }
 
 TEST(ParallelTrainer, DeterministicAcrossRuns) {
