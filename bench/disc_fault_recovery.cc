@@ -27,8 +27,8 @@
 //     bootstrap epochs).
 #include "bench_common.h"
 
-#include <filesystem>
 
+#include "common/temp_dir.h"
 #include "sched/elastic_job.h"
 #include "sched/fault_recovery.h"
 #include "sched/supervisor.h"
@@ -77,19 +77,18 @@ sched::FaultRecoveryTrace run_scenario(const sim::FaultInjector& injector,
   return sched::run_with_faults(job, injector, kMaxEpochs);
 }
 
-// Supervised run in a throwaway checkpoint directory; the trace carries
-// the measured checkpoint-write/restore seconds.
+// Supervised run in a private throwaway checkpoint directory (so
+// concurrent runs never share one); the trace carries the measured
+// checkpoint-write/restore seconds.
 sched::FaultRecoveryTrace run_supervised(const sim::FaultInjector& injector,
                                          sched::CrashPolicy policy,
                                          const std::string& subdir,
                                          std::size_t* final_nodes = nullptr,
                                          obs::Scope obs = {}) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "cannikin-bench-ckpt" / subdir;
-  fs::remove_all(dir);
+  const TempDir dir("cannikin-bench-ckpt-" + subdir);
 
   sched::SupervisorOptions options;
-  options.checkpoint_dir = dir.string();
+  options.checkpoint_dir = dir.str();
   options.checkpoint_every_epochs = 2;
   options.crash_policy = policy;
   options.obs = obs;
@@ -103,7 +102,6 @@ sched::FaultRecoveryTrace run_supervised(const sim::FaultInjector& injector,
     *final_nodes =
         supervisor.has_job() ? supervisor.job().allocation().size() : 0;
   }
-  fs::remove_all(dir);
   return trace;
 }
 

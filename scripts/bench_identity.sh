@@ -37,11 +37,14 @@ normalize() {
       sed -E 's#[0-9.]+ scenarios/sec#<measured> scenarios/sec#' ;;
     disc_fault_recovery)
       # Scenarios 4-5: the checkpoint write/restore seconds, and the
-      # checkpointed and re-join totals, which include measured wall
-      # clock (checkpoint I/O, and planning time: ROADMAP item 1(a)).
+      # totals that include measured wall clock: checkpoint I/O, and
+      # planning time (ROADMAP item 1(a)) in the checkpointed-restart,
+      # discard-epoch, shrink-only and re-join totals.
       sed -E 's/[0-9.]+s measured/<measured>s measured/g;
               s/measured overhead [0-9.]+s/measured overhead <measured>s/g;
               s/checkpointed restart [0-9.]+s/checkpointed restart <measured>s/;
+              s/discard-epoch [0-9.]+s total/discard-epoch <measured>s total/;
+              s/shrink-only time-to-target [0-9.]+s/shrink-only time-to-target <measured>s/;
               s/re-join [0-9.]+s$/re-join <measured>s/' ;;
     disc_fleet)
       sed -E '/^measured_/s/(p[0-9]+) [0-9.]+/\1 <measured>/g' ;;

@@ -9,6 +9,12 @@ cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)"
 ctest --preset tsan -j "$(nproc)"
 
+# Comm unit tests: the progress threads, the mailboxes and the
+# collective bodies they run, including bodies unwound by a receive
+# that throws on abort or timeout. Selected by label so new comm tests
+# join.
+ctest --test-dir build-tsan -L comm --output-on-failure -j "$(nproc)"
+
 # The fault/checkpoint robustness suite (crash -> restore -> re-join)
 # exercises the comm abort/timeout paths under the supervisor; run it
 # by ctest label so additions are picked up without editing the preset

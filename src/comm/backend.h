@@ -8,20 +8,16 @@
 //     progress thread (ProgressEngine) per rank, wall-clock delivery
 //     delays. Faithful overlap measurement, caps out at tens of ranks.
 //
-//   * EventBackend -- rank virtualization: collectives are resumable
-//     state machines multiplexed onto one discrete-event queue driven
-//     by *virtual* time (sim::FabricModel supplies per-pair delays).
-//     The same API runs at 1,000-10,000 virtual ranks because a rank
-//     costs a few queue entries, not an OS thread.
+//   * EventBackend -- rank virtualization: collectives are suspended
+//     coroutines multiplexed onto one discrete-event queue driven by
+//     *virtual* time (sim::FabricModel supplies per-pair delays). The
+//     same API runs at 1,000-10,000 virtual ranks because a rank costs
+//     a few queue entries, not an OS thread.
 //
-// The interface dispatches at the collective level (all_reduce /
-// broadcast / all_gather / tree_all_reduce), not at a generic "run this
-// closure" level: that is what lets the event backend express each
-// collective as a non-blocking state machine while the thread backend
-// submits the classic blocking bodies to its progress threads. Both
-// backends implement the collectives with the *same* algebra in the
-// same order, so reduced tensors are bitwise identical across
-// backends.
+// Collectives cross the seam as plain data (CollectiveCall) through one
+// hook, run_collective(), and both backends run each algorithm's one
+// coroutine body (transport.h), so reduced tensors are bitwise
+// identical across backends by construction.
 //
 // Error model (shared by both backends): CommTimeoutError when a peer
 // is dead or hung past the group deadline, CommAbortedError after
@@ -94,6 +90,16 @@ struct RetryStats {
   std::uint64_t messages = 0;   ///< point-to-point sends planned
   std::uint64_t resends = 0;    ///< retransmissions beyond 1st attempts
   std::uint64_t dropped = 0;    ///< messages whose retry budget ran out
+
+  /// Counts one planned send, here and in `scope`'s metrics.
+  void record(const sim::DeliveryPlan& plan, const obs::Scope& scope) {
+    ++messages;
+    resends += static_cast<std::uint64_t>(plan.resends);
+    if (!plan.delivered) ++dropped;
+    if (!scope.enabled()) return;
+    if (plan.resends > 0) scope.counter_add("comm.retry.resends", plan.resends);
+    if (!plan.delivered) scope.counter_add("comm.retry.dropped", 1);
+  }
 };
 
 /// Quorum mode for all-reduce: instead of dying on unreachable ranks,
@@ -118,6 +124,31 @@ struct OpTimes {
   double begin_seconds = 0.0;
   double end_seconds = 0.0;
   double seconds() const { return end_seconds - begin_seconds; }
+};
+
+/// One rank's part in one collective, as plain data: which algorithm,
+/// the caller's buffers and arguments, and how to label the op. The
+/// buffers must stay alive and untouched until the op's Work completes.
+struct CollectiveCall {
+  enum class Algorithm : std::uint8_t {
+    kRingAllReduce,  ///< in-place ring sum of `data`, pre-scaled by `weight`
+    kTreeAllReduce,  ///< in-place binomial-tree sum of `data`
+    kBroadcast,      ///< binomial broadcast of `*vector` from `root`
+    kAllGather,      ///< every rank's `*input`, in rank order, into `*vector`
+  };
+  Algorithm algorithm = Algorithm::kRingAllReduce;
+  std::uint64_t tag = 0;
+  /// Labels traces and metrics ("all_reduce", "weighted_all_reduce",
+  /// "bucket_all_reduce", ...); pass a string literal.
+  const char* op_name = "op";
+  std::span<double> data{};
+  /// Ring pre-scale; skipped bitwise when 1.0.
+  double weight = 1.0;
+  std::vector<double>* vector = nullptr;
+  const std::vector<double>* input = nullptr;
+  int root = 0;
+  /// When set, receives the op's begin/end.
+  std::shared_ptr<OpTimes> times{};
 };
 
 /// One rank-indexed communication substrate. All methods are
@@ -165,36 +196,15 @@ class Backend {
   /// Generic operation on `rank`'s comm queue. The thread backend runs
   /// it on the rank's progress thread (submission order); the event
   /// backend, having no progress threads, runs it inline on the caller
-  /// and returns an already-completed Work. Prefer the typed
-  /// collectives, which both backends execute asynchronously.
+  /// and returns an already-completed Work. Prefer run_collective(),
+  /// which both backends execute asynchronously.
   virtual WorkPtr submit(int rank, std::function<void()> op,
                          const char* op_name, int tag) = 0;
 
-  /// In-place ring sum-all-reduce of `data` on `rank`, pre-scaled by
-  /// `weight` (skipped bitwise when weight == 1.0). `op_name` labels
-  /// traces/metrics ("all_reduce", "weighted_all_reduce",
-  /// "bucket_all_reduce", "all_reduce_scalar" -- pass string
-  /// literals). A non-null `times` receives the op's begin/end.
-  virtual WorkPtr all_reduce(int rank, std::span<double> data, double weight,
-                             std::uint64_t tag, const char* op_name,
-                             std::shared_ptr<OpTimes> times) = 0;
-
-  /// In-place binomial-tree sum-all-reduce (reduce to rank 0, then
-  /// broadcast): O(n) messages total vs the ring's O(n^2), the only
-  /// affordable shape at ~10k virtual ranks.
-  virtual WorkPtr tree_all_reduce(int rank, std::span<double> data,
-                                  std::uint64_t tag,
-                                  std::shared_ptr<OpTimes> times) = 0;
-
-  /// Binomial-tree broadcast of `*data` from `root`; non-root vectors
-  /// are replaced by the root's payload.
-  virtual WorkPtr broadcast(int rank, std::vector<double>* data, int root,
-                            std::uint64_t tag) = 0;
-
-  /// Ring all-gather: every rank's vector, concatenated in rank order
-  /// into `*out`. Per-rank contributions may differ in size.
-  virtual WorkPtr all_gather(int rank, const std::vector<double>* data,
-                             std::vector<double>* out, std::uint64_t tag) = 0;
+  /// Runs `call` on `rank` behind the rank's earlier ops and returns its
+  /// Work at once. Both backends execute the algorithm's one body
+  /// (transport.h).
+  virtual WorkPtr run_collective(int rank, CollectiveCall call) = 0;
 };
 
 }  // namespace cannikin::comm

@@ -87,8 +87,10 @@ void BucketReducer::launch(std::size_t index) {
                       .add("tag", static_cast<std::int64_t>(tag))
                       .add("elements", static_cast<std::int64_t>(sub.size())));
   }
-  works_[index] = comm_.backend().all_reduce(comm_.rank(), sub, weight_, tag,
-                                             "bucket_all_reduce", timing);
+  works_[index] = comm_.backend().run_collective(
+      comm_.rank(), {.algorithm = CollectiveCall::Algorithm::kRingAllReduce,
+                     .tag = tag, .op_name = "bucket_all_reduce", .data = sub,
+                     .weight = weight_, .times = std::move(timing)});
   ++launched_;
 }
 

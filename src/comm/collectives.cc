@@ -5,220 +5,242 @@
 #include <string>
 #include <utility>
 
+#include "comm/transport.h"
+
 namespace cannikin::comm {
+
+const char* algorithm_name(CollectiveCall::Algorithm algorithm) {
+  static constexpr const char* kNames[] = {"ring_all_reduce", "tree_all_reduce",
+                                           "broadcast", "all_gather"};
+  return kNames[static_cast<std::size_t>(algorithm)];
+}
+
+struct Collective::promise_type {
+  /// The frame lives in the rank's FrameBuffer, which keeps it.
+  static void* operator new(std::size_t size, Transport& transport,
+                            const CollectiveCall&) {
+    FrameBuffer& frames = transport.frames_;
+    if (frames.size < size) {
+      frames = {std::make_unique_for_overwrite<std::byte[]>(size), size};
+    }
+    return frames.bytes.get();
+  }
+  static void operator delete(void*, std::size_t) noexcept {}
+
+  Collective get_return_object() {
+    return Collective(
+        std::coroutine_handle<promise_type>::from_promise(*this));
+  }
+  std::suspend_always initial_suspend() noexcept { return {}; }
+  std::suspend_always final_suspend() noexcept { return {}; }
+  void return_void() noexcept {}
+  void unhandled_exception() { throw; }
+};
 
 namespace {
 
-// Aborted groups must fail uniformly, even on paths that would not
-// touch the fabric (single-rank groups, empty ring segments): a poisoned
-// collective that silently "succeeds" on some ranks hides the failure.
-void check_not_aborted(const Communicator& comm, const char* op) {
-  if (comm.aborted()) {
-    throw CommAbortedError(std::string(op) + ": process group aborted (rank=" +
-                           std::to_string(comm.rank()) + ")");
+using Algorithm = CollectiveCall::Algorithm;
+
+WorkPtr run(Communicator& comm, const CollectiveCall& call) {
+  return comm.backend().run_collective(comm.rank(), call);
+}
+
+// Every body's first statement: a collective of an aborted group fails
+// before it touches the fabric, even one that would never send (a
+// one-rank group).
+void check_live(const Transport& t, const CollectiveCall& call) {
+  if (!t.aborted()) return;
+  throw CommAbortedError(std::string(algorithm_name(call.algorithm)) +
+                         ": process group aborted (rank=" +
+                         std::to_string(t.rank()) + ")");
+}
+
+/// The i-th (mod n) of the ring's n contiguous chunks of `data`, whose
+/// lengths differ by at most one.
+std::span<double> ring_segment(std::span<double> data, int n, int i) {
+  const auto chunk = static_cast<std::size_t>((i % n + n) % n);
+  const std::size_t base = data.size() / static_cast<std::size_t>(n);
+  const std::size_t extra = data.size() % static_cast<std::size_t>(n);
+  return data.subspan(chunk * base + std::min(chunk, extra),
+                      base + (chunk < extra ? 1 : 0));
+}
+
+// The bandwidth-optimal ring (Patarasuk & Yuan) that the paper's
+// communication model describes: a reduce-scatter of n-1 steps, then an
+// all-gather of n-1 steps, each moving 1/n of the buffer. Wire tags are
+// mangled per phase: tag*2, then tag*2+1.
+Collective ring_all_reduce(Transport& t, const CollectiveCall& call) {
+  check_live(t, call);
+  const std::span<double> data = call.data;
+  if (call.weight != 1.0) {
+    for (double& v : data) v *= call.weight;
+  }
+  const int n = t.size();
+  const int rank = t.rank();
+  const int next = (rank + 1) % n;
+  const int prev = (rank + n - 1) % n;
+
+  // Reduce-scatter: after step s, rank r holds the partial sum of
+  // segment (r - s - 1) mod n across ranks r-s-1..r.
+  for (int step = 0; step < n - 1; ++step) {
+    t.send(next, call.tag * 2,
+           t.payload_of(ring_segment(data, n, rank - step)));
+    Payload& incoming = co_await t.recv(prev, call.tag * 2);
+    const std::span<double> mine = ring_segment(data, n, rank - step - 1);
+    for (std::size_t i = 0; i < mine.size(); ++i) mine[i] += incoming[i];
+    t.recycle(std::move(incoming));
+  }
+  // All-gather: circulate the fully reduced segments.
+  for (int step = 0; step < n - 1; ++step) {
+    t.send(next, call.tag * 2 + 1,
+           t.payload_of(ring_segment(data, n, rank + 1 - step)));
+    Payload& incoming = co_await t.recv(prev, call.tag * 2 + 1);
+    std::copy(incoming.begin(), incoming.end(),
+              ring_segment(data, n, rank - step).begin());
+    t.recycle(std::move(incoming));
+  }
+}
+
+// Reduce to rank 0 along a binomial tree, then broadcast the sum back
+// down the same tree. Wire tags: tag*2 reduce, tag*2+1 broadcast.
+Collective tree_all_reduce(Transport& t, const CollectiveCall& call) {
+  check_live(t, call);
+  const std::span<double> data = call.data;
+  const int n = t.size();
+  const int rank = t.rank();
+
+  // Each rank adds its children's sums in increasing mask order, then
+  // sends to its parent rank - mask, mask being its lowest set bit.
+  // Rank 0 leaves the loop with mask = the first power of two >= n.
+  int mask = 1;
+  for (; mask < n; mask <<= 1) {
+    if (rank & mask) {
+      t.send(rank - mask, call.tag * 2, t.payload_of(data));
+      break;
+    }
+    if (rank + mask < n) {
+      Payload& incoming = co_await t.recv(rank + mask, call.tag * 2);
+      for (std::size_t i = 0; i < data.size(); ++i) data[i] += incoming[i];
+      t.recycle(std::move(incoming));
+    }
+  }
+  if (rank != 0) {
+    Payload& incoming = co_await t.recv(rank - mask, call.tag * 2 + 1);
+    std::copy(incoming.begin(), incoming.end(), data.begin());
+    t.recycle(std::move(incoming));
+  }
+  for (mask >>= 1; mask > 0; mask >>= 1) {
+    if (rank + mask < n) {
+      t.send(rank + mask, call.tag * 2 + 1, t.payload_of(data));
+    }
+  }
+}
+
+// Binomial tree rooted (virtually) at `root`: round k halves the
+// uninformed set, so the broadcast takes ceil(log2 n) rounds instead of
+// the root sending n-1 copies.
+Collective broadcast(Transport& t, const CollectiveCall& call) {
+  check_live(t, call);
+  std::vector<double>& data = *call.vector;
+  const int n = t.size();
+  const int root = call.root;
+  const int relative = (t.rank() - root + n) % n;
+  int mask = 1;
+  for (; mask < n; mask <<= 1) {
+    if (relative & mask) {
+      Payload& incoming =
+          co_await t.recv((relative - mask + root) % n, call.tag);
+      data.assign(incoming.begin(), incoming.end());
+      t.recycle(std::move(incoming));
+      break;
+    }
+  }
+  for (mask >>= 1; mask > 0; mask >>= 1) {
+    if (relative + mask < n) {
+      t.send((relative + mask + root) % n, call.tag, t.payload_of(data));
+    }
+  }
+}
+
+// Ring circulation: at step s each rank forwards the part it received
+// at step s-1 (its own at step 0) and receives rank (r - s - 1)'s part.
+Collective all_gather(Transport& t, const CollectiveCall& call) {
+  check_live(t, call);
+  const int n = t.size();
+  const int rank = t.rank();
+  const int next = (rank + 1) % n;
+  const int prev = (rank + n - 1) % n;
+  std::vector<Payload> parts(static_cast<std::size_t>(n));
+  parts[static_cast<std::size_t>(rank)] = t.payload_of(*call.input);
+  for (int step = 0; step < n - 1; ++step) {
+    const auto forward = static_cast<std::size_t>((rank - step + n) % n);
+    const auto origin =
+        static_cast<std::size_t>((rank - step - 1 + 2 * n) % n);
+    t.send(next, call.tag, t.payload_of(parts[forward]));
+    parts[origin] = std::move(co_await t.recv(prev, call.tag));
+  }
+  std::vector<double>& out = *call.vector;
+  out.clear();
+  for (Payload& part : parts) {
+    out.insert(out.end(), part.begin(), part.end());
+    t.recycle(std::move(part));
   }
 }
 
 }  // namespace
 
-namespace detail {
-
-std::vector<Segment> make_segments(std::size_t total, int n) {
-  std::vector<Segment> segments(static_cast<std::size_t>(n));
-  const std::size_t base = total / static_cast<std::size_t>(n);
-  const std::size_t extra = total % static_cast<std::size_t>(n);
-  std::size_t offset = 0;
-  for (int i = 0; i < n; ++i) {
-    const std::size_t len = base + (static_cast<std::size_t>(i) < extra ? 1 : 0);
-    segments[static_cast<std::size_t>(i)] = {offset, len};
-    offset += len;
+Collective collective_body(Transport& transport, const CollectiveCall& call) {
+  switch (call.algorithm) {
+    case Algorithm::kRingAllReduce:
+      return ring_all_reduce(transport, call);
+    case Algorithm::kTreeAllReduce:
+      return tree_all_reduce(transport, call);
+    case Algorithm::kBroadcast:
+      return broadcast(transport, call);
+    case Algorithm::kAllGather:
+      return all_gather(transport, call);
   }
-  return segments;
+  throw CommError("collective_body: unknown algorithm");
 }
-
-void ring_all_reduce_blocking(Communicator& comm, std::span<double> data,
-                              std::uint64_t tag) {
-  const int n = comm.size();
-  const int rank = comm.rank();
-  check_not_aborted(comm, "ring_all_reduce");
-  if (n == 1) return;
-
-  const auto segments = make_segments(data.size(), n);
-  const int next = (rank + 1) % n;
-  const int prev = (rank + n - 1) % n;
-
-  // Reduce-scatter: after step s, rank r holds the partial sum of
-  // segment (r - s) mod n across ranks r-s..r.
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_idx = (rank - step + 2 * n) % n;
-    const int recv_idx = (rank - step - 1 + 2 * n) % n;
-    const Segment send_seg = segments[static_cast<std::size_t>(send_idx)];
-    const Segment recv_seg = segments[static_cast<std::size_t>(recv_idx)];
-
-    Payload outgoing(data.begin() + static_cast<std::ptrdiff_t>(send_seg.offset),
-                     data.begin() + static_cast<std::ptrdiff_t>(send_seg.offset +
-                                                                send_seg.length));
-    comm.send(next, tag * 2, std::move(outgoing), "ring_all_reduce");
-    Payload incoming = comm.recv(prev, tag * 2, "ring_all_reduce");
-    for (std::size_t i = 0; i < recv_seg.length; ++i) {
-      data[recv_seg.offset + i] += incoming[i];
-    }
-  }
-
-  // All-gather: circulate the fully reduced segments.
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_idx = (rank + 1 - step + 2 * n) % n;
-    const int recv_idx = (rank - step + 2 * n) % n;
-    const Segment send_seg = segments[static_cast<std::size_t>(send_idx)];
-    const Segment recv_seg = segments[static_cast<std::size_t>(recv_idx)];
-
-    Payload outgoing(data.begin() + static_cast<std::ptrdiff_t>(send_seg.offset),
-                     data.begin() + static_cast<std::ptrdiff_t>(send_seg.offset +
-                                                                send_seg.length));
-    comm.send(next, tag * 2 + 1, std::move(outgoing), "ring_all_reduce");
-    Payload incoming = comm.recv(prev, tag * 2 + 1, "ring_all_reduce");
-    std::copy(incoming.begin(), incoming.end(),
-              data.begin() + static_cast<std::ptrdiff_t>(recv_seg.offset));
-  }
-}
-
-void tree_all_reduce_blocking(Communicator& comm, std::span<double> data,
-                              std::uint64_t tag) {
-  const int n = comm.size();
-  const int rank = comm.rank();
-  check_not_aborted(comm, "tree_all_reduce");
-  if (n == 1) return;
-
-  // Reduce to rank 0 along a binomial tree: each rank receives from its
-  // children (increasing mask order), then sends its partial sum to its
-  // parent. Tags are mangled per-phase like the ring's (tag*2 reduce,
-  // tag*2+1 broadcast).
-  int mask = 1;
-  while (mask < n) {
-    if (rank & mask) {
-      comm.send(rank - mask, tag * 2,
-                Payload(data.begin(), data.end()), "tree_all_reduce");
-      break;
-    }
-    if (rank + mask < n) {
-      Payload incoming = comm.recv(rank + mask, tag * 2, "tree_all_reduce");
-      for (std::size_t i = 0; i < data.size(); ++i) data[i] += incoming[i];
-    }
-    mask <<= 1;
-  }
-
-  // Broadcast the result back down (binomial, root 0). Mirrors
-  // broadcast_blocking with relative == rank.
-  mask = 1;
-  while (mask < n) {
-    if (rank & mask) {
-      Payload incoming =
-          comm.recv(rank - mask, tag * 2 + 1, "tree_all_reduce");
-      std::copy(incoming.begin(), incoming.end(), data.begin());
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (rank + mask < n) {
-      comm.send(rank + mask, tag * 2 + 1,
-                Payload(data.begin(), data.end()), "tree_all_reduce");
-    }
-    mask >>= 1;
-  }
-}
-
-void broadcast_blocking(Communicator& comm, std::vector<double>& data,
-                        int root, std::uint64_t tag) {
-  const int n = comm.size();
-  check_not_aborted(comm, "broadcast");
-  if (root < 0 || root >= n) throw CommError("broadcast: bad root");
-  if (n == 1) return;
-
-  // Binomial tree rooted (virtually) at rank `root`: round k halves the
-  // uninformed set, so the broadcast finishes in ceil(log2 n) rounds
-  // instead of the root serially sending n-1 copies.
-  const int rank = comm.rank();
-  const int relative = (rank - root + n) % n;
-  int mask = 1;
-  while (mask < n) {
-    if (relative & mask) {
-      const int src = (relative - mask + root) % n;
-      data = comm.recv(src, tag, "broadcast");
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (relative + mask < n) {
-      const int dst = (relative + mask + root) % n;
-      comm.send(dst, tag, data, "broadcast");
-    }
-    mask >>= 1;
-  }
-}
-
-std::vector<double> all_gather_blocking(Communicator& comm,
-                                        const std::vector<double>& data,
-                                        std::uint64_t tag) {
-  const int n = comm.size();
-  check_not_aborted(comm, "all_gather");
-  std::vector<std::vector<double>> parts(static_cast<std::size_t>(n));
-  parts[static_cast<std::size_t>(comm.rank())] = data;
-  // Simple ring circulation of each rank's contribution.
-  const int next = (comm.rank() + 1) % n;
-  const int prev = (comm.rank() + n - 1) % n;
-  std::vector<double> current = data;
-  for (int step = 0; step < n - 1; ++step) {
-    comm.send(next, tag, current, "all_gather");
-    current = comm.recv(prev, tag, "all_gather");
-    const int origin = (comm.rank() - step - 1 + 2 * n) % n;
-    parts[static_cast<std::size_t>(origin)] = current;
-  }
-  std::vector<double> out;
-  for (const auto& part : parts) {
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
-}
-
-}  // namespace detail
 
 WorkPtr async_ring_all_reduce(Communicator comm, std::span<double> data,
                               std::uint64_t tag) {
-  return comm.backend().all_reduce(comm.rank(), data, /*weight=*/1.0, tag,
-                                   "all_reduce", nullptr);
+  return run(comm, {.algorithm = Algorithm::kRingAllReduce, .tag = tag,
+                    .op_name = "all_reduce", .data = data});
 }
 
 WorkPtr async_tree_all_reduce(Communicator comm, std::span<double> data,
                               std::uint64_t tag) {
-  return comm.backend().tree_all_reduce(comm.rank(), data, tag, nullptr);
+  return run(comm, {.algorithm = Algorithm::kTreeAllReduce, .tag = tag,
+                    .op_name = "tree_all_reduce", .data = data});
 }
 
 WorkPtr async_weighted_ring_all_reduce(Communicator comm,
                                        std::span<double> data, double weight,
                                        std::uint64_t tag) {
-  return comm.backend().all_reduce(comm.rank(), data, weight, tag,
-                                   "weighted_all_reduce", nullptr);
+  return run(comm, {.algorithm = Algorithm::kRingAllReduce, .tag = tag,
+                    .op_name = "weighted_all_reduce", .data = data,
+                    .weight = weight});
 }
 
 WorkPtr async_broadcast(Communicator comm, std::vector<double>* data,
                         int root, std::uint64_t tag) {
-  return comm.backend().broadcast(comm.rank(), data, root, tag);
+  if (root < 0 || root >= comm.size()) throw CommError("broadcast: bad root");
+  return run(comm, {.algorithm = Algorithm::kBroadcast, .tag = tag,
+                    .op_name = "broadcast", .vector = data, .root = root});
 }
 
 WorkPtr async_all_gather(Communicator comm, const std::vector<double>* data,
                          std::vector<double>* out, std::uint64_t tag) {
-  return comm.backend().all_gather(comm.rank(), data, out, tag);
+  return run(comm, {.algorithm = Algorithm::kAllGather, .tag = tag,
+                    .op_name = "all_gather", .vector = out, .input = data});
 }
 
 WorkPtr async_all_reduce_scalar(Communicator comm, double* value,
                                 std::uint64_t tag) {
-  return comm.backend().all_reduce(comm.rank(), std::span<double>(value, 1),
-                                   /*weight=*/1.0, tag, "all_reduce_scalar",
-                                   nullptr);
+  return run(comm, {.algorithm = Algorithm::kRingAllReduce, .tag = tag,
+                    .op_name = "all_reduce_scalar",
+                    .data = std::span<double>(value, 1)});
 }
 
 void ring_all_reduce(Communicator& comm, std::span<double> data,

@@ -6,14 +6,13 @@
 // of (n-1) steps, each moving 1/n of the buffer per step.
 //
 // Every collective comes in two forms:
-//   * async_* returns immediately with a Work handle and dispatches to
-//     the group's comm::Backend -- the thread backend runs the blocking
-//     body on the rank's comm progress thread, the event backend runs
-//     an equivalent state machine in virtual time. Buffers passed by
-//     span/pointer must stay alive and untouched until the Work
-//     completes.
-//   * the blocking form is a thin wrapper, `async_*(...)->wait()`, kept
-//     so call sites can migrate incrementally.
+//   * async_* returns immediately with a Work handle and hands the call
+//     to the group's comm::Backend, which runs the algorithm's one
+//     coroutine body (transport.h, bodies in collectives.cc): on the
+//     rank's comm progress thread (thread backend) or in virtual time
+//     (event backend). Buffers passed by span/pointer must stay alive
+//     and untouched until the Work completes.
+//   * the blocking form is a thin wrapper, `async_*(...)->wait()`.
 //
 // Async operations on one rank execute in submission order; every rank
 // must submit the same collective sequence (matching tags keep
@@ -46,15 +45,16 @@ WorkPtr async_tree_all_reduce(Communicator comm, std::span<double> data,
 
 /// Nonblocking weighted all-reduce: computes sum_i weight_i * data_i on
 /// every rank. Used by Cannikin's proportional gradient aggregation
-/// (Eq. 9): pass weight = b_i / B. Implemented by pre-scaling (on the
-/// progress thread) then ring-all-reducing.
+/// (Eq. 9): pass weight = b_i / B. Implemented by pre-scaling (inside
+/// the op, behind the rank's earlier ops) then ring-all-reducing.
 WorkPtr async_weighted_ring_all_reduce(Communicator comm,
                                        std::span<double> data, double weight,
                                        std::uint64_t tag);
 
 /// Nonblocking broadcast of `*data` from `root` along a binomial tree
 /// (O(log n) rounds instead of root-sends-to-all). Non-root ranks'
-/// vectors are resized to the root's payload.
+/// vectors are resized to the root's payload. Throws CommError at the
+/// call for a root outside [0, size).
 WorkPtr async_broadcast(Communicator comm, std::vector<double>* data,
                         int root, std::uint64_t tag);
 
@@ -91,35 +91,5 @@ std::vector<double> all_gather(Communicator& comm,
 /// All-reduce of a single scalar (sum); convenience for aggregating
 /// per-node statistics such as |g_i|^2 terms.
 double all_reduce_scalar(Communicator& comm, double value, std::uint64_t tag);
-
-namespace detail {
-
-/// One contiguous chunk of the flat buffer in the ring algorithm.
-struct Segment {
-  std::size_t offset;
-  std::size_t length;
-};
-
-/// Splits [0, total) into n contiguous segments whose sizes differ by
-/// at most one -- the chunking of the ring algorithm. Exported because
-/// the event backend's ring state machine must use *identical*
-/// segments for bitwise cross-backend parity.
-std::vector<Segment> make_segments(std::size_t total, int n);
-
-// Blocking collective bodies, safe to call from a progress-thread op
-// (they never re-enter the engine). The ThreadBackend submits these to
-// its progress threads; the EventBackend mirrors them as event-driven
-// state machines with the same operation order.
-void ring_all_reduce_blocking(Communicator& comm, std::span<double> data,
-                              std::uint64_t tag);
-void tree_all_reduce_blocking(Communicator& comm, std::span<double> data,
-                              std::uint64_t tag);
-void broadcast_blocking(Communicator& comm, std::vector<double>& data,
-                        int root, std::uint64_t tag);
-std::vector<double> all_gather_blocking(Communicator& comm,
-                                        const std::vector<double>& data,
-                                        std::uint64_t tag);
-
-}  // namespace detail
 
 }  // namespace cannikin::comm

@@ -12,7 +12,7 @@
 #include <utility>
 #include <vector>
 
-#include "comm/collectives.h"
+#include "comm/transport.h"
 #include "sim/event_queue.h"
 
 namespace cannikin::comm {
@@ -235,7 +235,7 @@ struct EventBackend::Impl {
     Payload payload;
     double time = 0.0;
   };
-  /// A pending receive: a machine's one outstanding await, or a
+  /// A pending receive: a machine's one suspended receive, or a
   /// blocking recv() caller's slot (exactly one is set).
   struct Waiter {
     std::shared_ptr<EventMachine> machine;
@@ -302,8 +302,11 @@ struct EventBackend::Impl {
   FlatMap<ChannelKey, Channel, ChannelKeyHash> channels;
   Slab<MsgNode> mail_nodes;
   Slab<WaiterNode> waiter_nodes;
-  /// Spent payload buffers, reused by the machines' sends.
+  /// Spent payload buffers, reused by the collective bodies' sends.
   std::vector<Payload> spare_payloads;
+  /// Per-rank collective frames: a body exists only while its machine
+  /// is its stream's front and running.
+  std::vector<FrameBuffer> frames;
   /// Per-rank FIFO of collective machines (NCCL stream semantics):
   /// front is in flight, the rest wait for it.
   std::vector<std::deque<std::shared_ptr<EventMachine>>> streams;
@@ -315,6 +318,31 @@ struct EventBackend::Impl {
   double barrier_max = 0.0;
 
   bool in_pump() const { return tl_pump == this; }
+
+  /// Runs `fn` under the scheduler mutex, which an event handler
+  /// already holds.
+  template <typename Fn>
+  auto locked(Fn fn) {
+    if (in_pump()) return fn();
+    std::lock_guard<std::mutex> lock(mu);
+    return fn();
+  }
+
+  /// locked() for a change to the scheduler's state: a caller outside
+  /// the scheduler then wakes the blocked pumpers, whose predicates the
+  /// change may satisfy.
+  template <typename Fn>
+  void change(Fn fn) {
+    if (in_pump()) {
+      fn();
+      return;
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      fn();
+    }
+    cv.notify_all();
+  }
 
   // --- core scheduler (all _locked methods require mu held) ---
 
@@ -402,13 +430,6 @@ struct EventBackend::Impl {
 
   // --- payload recycling ---
 
-  Payload take_payload() {
-    if (spare_payloads.empty()) return {};
-    Payload payload = std::move(spare_payloads.back());
-    spare_payloads.pop_back();
-    return payload;
-  }
-
   void recycle(Payload&& payload) {
     if (payload.capacity() == 0) return;
     payload.clear();
@@ -428,16 +449,10 @@ struct EventBackend::Impl {
     const sim::DeliveryPlan plan =
         sim::plan_delivery(fabric, retry, src, dst,
                            payload.size() * sizeof(double), at_time, seq);
-    ++retry_totals.messages;
-    retry_totals.resends += static_cast<std::uint64_t>(plan.resends);
-    if (plan.resends > 0 && scope.enabled()) {
-      scope.counter_add("comm.retry.resends", plan.resends);
-    }
+    retry_totals.record(plan, scope);
     if (!plan.delivered) {
       // Retry budget exhausted: the message vanishes and the receiver
       // surfaces CommTimeoutError / strands, same as a dead peer.
-      ++retry_totals.dropped;
-      if (scope.enabled()) scope.counter_add("comm.retry.dropped", 1);
       recycle(std::move(payload));
       return;
     }
@@ -468,11 +483,11 @@ struct EventBackend::Impl {
     resume_locked(waiter, std::move(payload), time);
   }
 
-  /// Hands a message to its receive: fills a recv() slot, or advances
-  /// a machine (skipped if the machine has failed meanwhile).
+  /// Hands a message to its receive: fills a recv() slot, or resumes a
+  /// machine's body (skipped if the machine has failed meanwhile).
   void resume_locked(const Waiter& waiter, Payload payload, double time);
 
-  /// Registers `machine`'s one outstanding receive for the next
+  /// Registers `machine`'s one suspended receive for the next
   /// (src, tag) message at `dst`. A message already in the mailbox is
   /// re-dispatched through a zero-delay event (never recursively),
   /// keeping handler stack depth constant at 10k ranks.
@@ -523,7 +538,7 @@ struct EventBackend::Impl {
     for (const ChannelKey& key : emptied) channels.erase(key);
   }
 
-  // --- machines (definitions below EventMachine) ---
+  // --- machine lifecycle (definitions below EventMachine) ---
 
   void submit_machine_locked(std::shared_ptr<EventMachine> m);
   void schedule_start_locked(int rank, double at);
@@ -538,57 +553,69 @@ struct EventBackend::Impl {
 
 thread_local EventBackend::Impl* EventBackend::Impl::tl_pump = nullptr;
 
-/// Base of every collective state machine: one rank's participation in
-/// one collective. Lives on the rank's stream queue; advanced by
-/// message deliveries under the scheduler mutex. `now` is the
-/// machine's local virtual clock (max of its start time and every
-/// message it has consumed), which becomes the op's end time.
-struct EventMachine : std::enable_shared_from_this<EventMachine> {
-  EventBackend::Impl* b = nullptr;
-  int rank = 0;
-  std::uint64_t tag = 0;
-  const char* op_name = "op";
+/// One rank's participation in one collective: the algorithm's shared
+/// body (transport.h) plus its stream bookkeeping. Lives on the rank's
+/// stream queue. The body is built in the rank's FrameBuffer when the
+/// stream starts the machine, runs under the scheduler mutex on each
+/// message delivery, and is destroyed when the machine completes or
+/// fails, before the rank's next machine starts.
+/// `now` is the machine's local virtual clock (max of its start time
+/// and every message it has consumed), which becomes the op's end time.
+struct EventMachine final : Transport,
+                            std::enable_shared_from_this<EventMachine> {
+  EventMachine(EventBackend::Impl& backend, int rank, CollectiveCall call)
+      : Transport(rank, backend.size,
+                  backend.frames[static_cast<std::size_t>(rank)],
+                  backend.aborted),
+        b(&backend),
+        call(std::move(call)) {}
+
+  EventBackend::Impl* b;
+  CollectiveCall call;
   /// The Work handed to the caller aliases this machine (one
   /// allocation for both), so a live WorkPtr keeps the machine alive.
   Work work;
-  std::shared_ptr<OpTimes> times;
+  Collective body;
   double enqueue_time = 0.0;
   double start_time = 0.0;
   double now = 0.0;
   bool started = false;
   bool failed = false;
 
-  virtual ~EventMachine() = default;
-
-  /// First step; runs under the scheduler mutex at `start_time`.
-  virtual void start() = 0;
-
-  /// Continuation of the machine's one outstanding await(); `now` has
-  /// already advanced to the message's arrival. Never called once the
-  /// machine has failed.
-  virtual void on_message(Payload incoming) = 0;
-
-  void send(int dst, std::uint64_t wire_tag, Payload payload) {
-    b->send_locked(rank, dst, wire_tag, std::move(payload), now);
+  void send(int dst, std::uint64_t tag, Payload payload) override {
+    b->send_locked(rank(), dst, tag, std::move(payload), now);
   }
 
-  /// A payload holding `values`, built in a recycled buffer.
-  Payload copy_of(std::span<const double> values) {
-    Payload payload = b->take_payload();
+  Payload payload_of(std::span<const double> values) override {
+    Payload payload;
+    if (!b->spare_payloads.empty()) {
+      payload = std::move(b->spare_payloads.back());
+      b->spare_payloads.pop_back();
+    }
     payload.assign(values.begin(), values.end());
     return payload;
   }
 
-  /// Hands a consumed payload's buffer back for reuse.
-  void recycle(Payload&& payload) { b->recycle(std::move(payload)); }
+  void recycle(Payload&& payload) override { b->recycle(std::move(payload)); }
 
-  /// Requests on_message() for the next (src, wire_tag) message. A
-  /// machine has at most one await outstanding.
-  void await(int src, std::uint64_t wire_tag) {
-    b->await_locked(rank, src, wire_tag, shared_from_this());
+  /// Runs the body to its next receive or its end; a finished body
+  /// completes or fails the machine.
+  void step() {
+    try {
+      body.resume();
+    } catch (...) {
+      b->fail_machine_locked(shared_from_this(), std::current_exception());
+      return;
+    }
+    if (body.done()) b->complete_machine_locked(shared_from_this());
   }
 
-  void complete() { b->complete_machine_locked(shared_from_this()); }
+  /// Every receive goes through the scheduler, never straight to the
+  /// body: a message already waiting resumes it via a zero-delay event.
+  bool receive(int src, std::uint64_t tag) override {
+    b->await_locked(rank(), src, tag, shared_from_this());
+    return false;
+  }
 };
 
 void EventBackend::Impl::resume_locked(const Waiter& waiter, Payload payload,
@@ -605,224 +632,9 @@ void EventBackend::Impl::resume_locked(const Waiter& waiter, Payload payload,
     return;
   }
   m.now = std::max(m.now, time);
-  m.on_message(std::move(payload));
+  m.inbox = std::move(payload);
+  m.step();
 }
-
-namespace {
-
-/// Ring all-reduce: mirrors detail::ring_all_reduce_blocking step for
-/// step (same segments, same += order, same tag*2 / tag*2+1 phases).
-struct RingMachine final : EventMachine {
-  std::span<double> data;
-  double weight = 1.0;
-  std::vector<detail::Segment> segments;
-  int n = 0, next = 0, prev = 0;
-  int phase = 0, step = 0;
-
-  void start() override {
-    n = b->size;
-    if (weight != 1.0) {
-      for (double& v : data) v *= weight;
-    }
-    if (n == 1) {
-      complete();
-      return;
-    }
-    segments = detail::make_segments(data.size(), n);
-    next = (rank + 1) % n;
-    prev = (rank + n - 1) % n;
-    advance();
-  }
-
-  std::uint64_t wire() const { return phase == 0 ? tag * 2 : tag * 2 + 1; }
-
-  void advance() {
-    const int send_idx = phase == 0 ? (rank - step + 2 * n) % n
-                                    : (rank + 1 - step + 2 * n) % n;
-    const auto send_seg = segments[static_cast<std::size_t>(send_idx)];
-    send(next, wire(), copy_of(data.subspan(send_seg.offset, send_seg.length)));
-    await(prev, wire());
-  }
-
-  void on_message(Payload incoming) override {
-    const int recv_idx = phase == 0 ? (rank - step - 1 + 2 * n) % n
-                                    : (rank - step + 2 * n) % n;
-    const auto recv_seg = segments[static_cast<std::size_t>(recv_idx)];
-    if (phase == 0) {
-      for (std::size_t i = 0; i < recv_seg.length; ++i) {
-        data[recv_seg.offset + i] += incoming[i];
-      }
-    } else {
-      std::copy(incoming.begin(), incoming.end(),
-                data.begin() + static_cast<std::ptrdiff_t>(recv_seg.offset));
-    }
-    recycle(std::move(incoming));
-    if (++step == n - 1) {
-      if (phase == 1) {
-        complete();
-        return;
-      }
-      phase = 1;
-      step = 0;
-    }
-    advance();
-  }
-};
-
-/// Binomial-tree all-reduce: mirrors detail::tree_all_reduce_blocking.
-struct TreeMachine final : EventMachine {
-  std::span<double> data;
-  int n = 0;
-  int mask = 1;
-  /// Set once the reduce half is done and the machine awaits its
-  /// parent's broadcast from rank - bcast_mask.
-  int bcast_mask = 0;
-
-  void start() override {
-    n = b->size;
-    if (n == 1) {
-      complete();
-      return;
-    }
-    reduce_advance();
-  }
-
-  void reduce_advance() {
-    while (mask < n) {
-      if (rank & mask) {
-        send(rank - mask, tag * 2, copy_of(data));
-        bcast_await();
-        return;
-      }
-      if (rank + mask < n) {
-        await(rank + mask, tag * 2);
-        return;
-      }
-      mask <<= 1;
-    }
-    // Only rank 0 falls through: it holds the full sum; `mask` is the
-    // first power of two >= n, so mask >> 1 seeds the broadcast.
-    bcast_forward(mask >> 1);
-  }
-
-  void bcast_await() {
-    int m = 1;
-    while (m < n && !(rank & m)) m <<= 1;
-    bcast_mask = m;
-    await(rank - m, tag * 2 + 1);
-  }
-
-  void on_message(Payload incoming) override {
-    if (bcast_mask == 0) {
-      for (std::size_t i = 0; i < data.size(); ++i) data[i] += incoming[i];
-      recycle(std::move(incoming));
-      mask <<= 1;
-      reduce_advance();
-      return;
-    }
-    std::copy(incoming.begin(), incoming.end(), data.begin());
-    recycle(std::move(incoming));
-    bcast_forward(bcast_mask >> 1);
-  }
-
-  void bcast_forward(int m) {
-    for (; m > 0; m >>= 1) {
-      if (rank + m < n) send(rank + m, tag * 2 + 1, copy_of(data));
-    }
-    complete();
-  }
-};
-
-/// Binomial broadcast: mirrors detail::broadcast_blocking.
-struct BcastMachine final : EventMachine {
-  std::vector<double>* data = nullptr;
-  int root = 0;
-  int n = 0, relative = 0, recv_mask = 0;
-
-  void start() override {
-    n = b->size;
-    if (n == 1) {
-      complete();
-      return;
-    }
-    relative = (rank - root + n) % n;
-    if (relative == 0) {
-      int m = 1;
-      while (m < n) m <<= 1;
-      forward(m >> 1);
-      return;
-    }
-    recv_mask = 1;
-    while (recv_mask < n && !(relative & recv_mask)) recv_mask <<= 1;
-    await((relative - recv_mask + root) % n, tag);
-  }
-
-  void on_message(Payload incoming) override {
-    data->assign(incoming.begin(), incoming.end());
-    recycle(std::move(incoming));
-    forward(recv_mask >> 1);
-  }
-
-  void forward(int m) {
-    for (; m > 0; m >>= 1) {
-      if (relative + m < n) send((relative + m + root) % n, tag, copy_of(*data));
-    }
-    complete();
-  }
-};
-
-/// Ring all-gather: mirrors detail::all_gather_blocking.
-struct GatherMachine final : EventMachine {
-  const std::vector<double>* data = nullptr;
-  std::vector<double>* out = nullptr;
-  std::vector<std::vector<double>> parts;
-  std::vector<double> current;
-  int n = 0, next = 0, prev = 0, step = 0;
-
-  void start() override {
-    n = b->size;
-    parts.resize(static_cast<std::size_t>(n));
-    parts[static_cast<std::size_t>(rank)] = *data;
-    if (n == 1) {
-      assemble();
-      return;
-    }
-    next = (rank + 1) % n;
-    prev = (rank + n - 1) % n;
-    current = *data;
-    advance();
-  }
-
-  void advance() {
-    send(next, tag, copy_of(current));
-    await(prev, tag);
-  }
-
-  void on_message(Payload incoming) override {
-    current.swap(incoming);
-    recycle(std::move(incoming));
-    const int origin = (rank - step - 1 + 2 * n) % n;
-    parts[static_cast<std::size_t>(origin)] = current;
-    if (++step == n - 1) {
-      assemble();
-    } else {
-      advance();
-    }
-  }
-
-  void assemble() {
-    out->clear();
-    for (const auto& part : parts) {
-      out->insert(out->end(), part.begin(), part.end());
-    }
-    // The caller's WorkPtr keeps this machine alive; drop the copies.
-    parts = {};
-    current = {};
-    complete();
-  }
-};
-
-}  // namespace
 
 // --- machine lifecycle on the Impl ---
 
@@ -839,17 +651,17 @@ void EventBackend::Impl::submit_machine_locked(
   m->work.set_wait_hook([this, machine = m.get()](double timeout) {
     return wait_for_work(*machine, timeout);
   });
-  const std::size_t r = static_cast<std::size_t>(m->rank);
+  const std::size_t r = static_cast<std::size_t>(m->rank());
   if (dead[r]) {
     m->failed = true;
     m->work.finish(std::make_exception_ptr(CommError(
-        "rank " + std::to_string(m->rank) + " failed (injected fault)")));
+        "rank " + std::to_string(m->rank()) + " failed (injected fault)")));
     return;
   }
   m->enqueue_time = std::max(vnow, vclock[r]);
   streams[r].push_back(m);
   if (streams[r].size() == 1) {
-    schedule_start_locked(m->rank, m->enqueue_time);
+    schedule_start_locked(m->rank(), m->enqueue_time);
   }
 }
 
@@ -867,7 +679,8 @@ void EventBackend::Impl::start_stream_locked(int rank) {
   if (m->started || m->failed) return;
   m->started = true;
   m->start_time = m->now = std::max(vnow, m->enqueue_time);
-  m->start();
+  m->body = collective_body(*m, m->call);
+  m->step();
 }
 
 void EventBackend::Impl::dispatch_locked(Event& event) {
@@ -892,18 +705,19 @@ void EventBackend::Impl::dispatch_locked(Event& event) {
 void EventBackend::Impl::complete_machine_locked(
     const std::shared_ptr<EventMachine>& m) {
   if (m->failed || m->work.is_completed()) return;
-  const std::size_t r = static_cast<std::size_t>(m->rank);
+  m->body = {};
+  const std::size_t r = static_cast<std::size_t>(m->rank());
   vclock[r] = std::max(vclock[r], m->now);
-  if (m->times) {
-    m->times->begin_seconds = m->start_time;
-    m->times->end_seconds = m->now;
+  if (m->call.times) {
+    m->call.times->begin_seconds = m->start_time;
+    m->call.times->end_seconds = m->now;
   }
   emit_completion_obs_locked(*m, /*failed=*/false);
   m->work.finish(nullptr);
   auto& stream = streams[r];
   if (!stream.empty() && stream.front().get() == m.get()) {
     stream.pop_front();
-    if (!stream.empty()) schedule_start_locked(m->rank, m->now);
+    if (!stream.empty()) schedule_start_locked(m->rank(), m->now);
   }
 }
 
@@ -911,17 +725,18 @@ void EventBackend::Impl::fail_machine_locked(
     const std::shared_ptr<EventMachine>& m, std::exception_ptr error) {
   if (m->failed) return;
   m->failed = true;
+  m->body = {};
   if (!m->work.is_completed()) {
     emit_completion_obs_locked(*m, /*failed=*/true);
     m->work.finish(std::move(error));
   }
-  auto& stream = streams[static_cast<std::size_t>(m->rank)];
+  auto& stream = streams[static_cast<std::size_t>(m->rank())];
   const auto it = std::find(stream.begin(), stream.end(), m);
   if (it != stream.end()) {
     const bool was_front = it == stream.begin();
     stream.erase(it);
     if (was_front && !stream.empty() && !stream.front()->started) {
-      schedule_start_locked(m->rank, vnow);
+      schedule_start_locked(m->rank(), vnow);
     }
   }
 }
@@ -929,16 +744,17 @@ void EventBackend::Impl::fail_machine_locked(
 void EventBackend::Impl::emit_completion_obs_locked(const EventMachine& m,
                                                     bool failed) {
   if (!scope.enabled()) return;
-  const obs::Scope row = scope.for_rank(obs::kCommTidBase + m.rank);
+  const obs::Scope row = scope.for_rank(obs::kCommTidBase + m.rank());
   const double queue_us = (m.start_time - m.enqueue_time) * 1e6;
   if (scope.tracing() && !failed) {
-    if (!row_named[static_cast<std::size_t>(m.rank)]) {
-      row.thread_name("rank " + std::to_string(m.rank) + " comm");
-      row_named[static_cast<std::size_t>(m.rank)] = 1;
+    if (!row_named[static_cast<std::size_t>(m.rank())]) {
+      row.thread_name("rank " + std::to_string(m.rank()) + " comm");
+      row_named[static_cast<std::size_t>(m.rank())] = 1;
     }
-    row.complete_span("comm", m.op_name, m.start_time, m.now - m.start_time,
+    row.complete_span("comm", m.call.op_name, m.start_time,
+                      m.now - m.start_time,
                       obs::ArgList()
-                          .add("tag", static_cast<std::int64_t>(m.tag))
+                          .add("tag", static_cast<std::int64_t>(m.call.tag))
                           .add("queue_us", queue_us));
   }
   if (scope.metrics() != nullptr) {
@@ -963,11 +779,11 @@ bool EventBackend::Impl::wait_for_work(EventMachine& m,
         fail_machine_locked(
             m.shared_from_this(),
             std::make_exception_ptr(CommTimeoutError(
-                std::string(m.op_name) + ": rank " + std::to_string(m.rank) +
-                " timed out after " +
+                std::string(m.call.op_name) + ": rank " +
+                std::to_string(m.rank()) + " timed out after " +
                 std::to_string(
                     timeout_seconds.load(std::memory_order_relaxed)) +
-                "s of scheduler idleness (tag=" + std::to_string(m.tag) +
+                "s of scheduler idleness (tag=" + std::to_string(m.call.tag) +
                 "); peer dead or hung")));
       },
       "wait", -1);
@@ -980,6 +796,7 @@ void EventBackend::Impl::abort_locked() {
   for (auto& stream : streams) {
     for (const auto& m : stream) {
       m->failed = true;
+      m->body = {};
       if (!m->work.is_completed()) m->work.finish(error);
     }
     stream.clear();
@@ -1004,6 +821,7 @@ EventBackend::EventBackend(const GroupOptions& options)
   impl_->vclock.assign(static_cast<std::size_t>(options.size), 0.0);
   impl_->dead.assign(static_cast<std::size_t>(options.size), 0);
   impl_->streams.resize(static_cast<std::size_t>(options.size));
+  impl_->frames.resize(static_cast<std::size_t>(options.size));
 }
 
 EventBackend::~EventBackend() { abort(); }
@@ -1017,28 +835,15 @@ double EventBackend::timeout() const {
 }
 
 void EventBackend::set_fabric(const sim::FabricModel& fabric) {
-  if (impl_->in_pump()) {
-    impl_->fabric = fabric;
-    return;
-  }
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->fabric = fabric;
+  impl_->locked([&] { impl_->fabric = fabric; });
 }
 
 void EventBackend::set_retry(const sim::RetryPolicy& retry) {
-  if (impl_->in_pump()) {
-    impl_->retry = retry;
-    return;
-  }
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->retry = retry;
+  impl_->locked([&] { impl_->retry = retry; });
 }
 
 RetryStats EventBackend::retry_stats() const {
-  Impl& b = *impl_;
-  if (b.in_pump()) return b.retry_totals;
-  std::lock_guard<std::mutex> lock(b.mu);
-  return b.retry_totals;
+  return impl_->locked([&] { return impl_->retry_totals; });
 }
 
 bool EventBackend::reachable(int a, int b) const {
@@ -1052,26 +857,15 @@ bool EventBackend::reachable(int a, int b) const {
     }
     return !impl.fabric.faults.partitioned(a, b, impl.vnow);
   };
-  if (impl.in_pump()) return check();
-  std::lock_guard<std::mutex> lock(impl.mu);
-  return check();
+  return impl.locked(check);
 }
 
 void EventBackend::set_scope(obs::Scope scope) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->scope = scope;
+  impl_->locked([&] { impl_->scope = scope; });
 }
 
 void EventBackend::abort() {
-  if (impl_->in_pump()) {
-    impl_->abort_locked();
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->abort_locked();
-  }
-  impl_->cv.notify_all();
+  impl_->change([&] { impl_->abort_locked(); });
 }
 
 bool EventBackend::aborted() const {
@@ -1087,17 +881,10 @@ void EventBackend::send(int src, int dst, std::uint64_t tag, Payload payload,
                            ", tag=" + std::to_string(tag) + ")");
   }
   Impl& b = *impl_;
-  if (b.in_pump()) {
+  b.change([&] {
     b.send_locked(src, dst, tag, std::move(payload),
                   std::max(b.vclock[static_cast<std::size_t>(src)], b.vnow));
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(b.mu);
-    b.send_locked(src, dst, tag, std::move(payload),
-                  std::max(b.vclock[static_cast<std::size_t>(src)], b.vnow));
-  }
-  b.cv.notify_all();
+  });
 }
 
 Payload EventBackend::recv(int dst, int src, std::uint64_t tag,
@@ -1212,87 +999,19 @@ WorkPtr EventBackend::submit(int rank, std::function<void()> op,
   return work;
 }
 
-namespace {
-
-template <typename MachineT, typename Init>
-WorkPtr launch_machine(EventBackend::Impl& b, int rank, std::uint64_t tag,
-                       const char* op_name, std::shared_ptr<OpTimes> times,
-                       Init init) {
-  auto m = std::make_shared<MachineT>();
-  m->b = &b;
-  m->rank = rank;
-  m->tag = tag;
-  m->op_name = op_name;
-  m->times = std::move(times);
-  init(*m);
+WorkPtr EventBackend::run_collective(int rank, CollectiveCall call) {
+  Impl& b = *impl_;
+  auto m = std::make_shared<EventMachine>(b, rank, std::move(call));
   WorkPtr work(m, &m->work);
-  if (b.in_pump()) {
-    b.submit_machine_locked(std::move(m));
-  } else {
-    {
-      std::lock_guard<std::mutex> lock(b.mu);
-      b.submit_machine_locked(std::move(m));
-    }
-    b.cv.notify_all();
-  }
+  b.change([&] { b.submit_machine_locked(std::move(m)); });
   return work;
-}
-
-}  // namespace
-
-WorkPtr EventBackend::all_reduce(int rank, std::span<double> data,
-                                 double weight, std::uint64_t tag,
-                                 const char* op_name,
-                                 std::shared_ptr<OpTimes> times) {
-  return launch_machine<RingMachine>(*impl_, rank, tag, op_name,
-                                     std::move(times), [&](RingMachine& m) {
-                                       m.data = data;
-                                       m.weight = weight;
-                                     });
-}
-
-WorkPtr EventBackend::tree_all_reduce(int rank, std::span<double> data,
-                                      std::uint64_t tag,
-                                      std::shared_ptr<OpTimes> times) {
-  return launch_machine<TreeMachine>(
-      *impl_, rank, tag, "tree_all_reduce", std::move(times),
-      [&](TreeMachine& m) { m.data = data; });
-}
-
-WorkPtr EventBackend::broadcast(int rank, std::vector<double>* data, int root,
-                                std::uint64_t tag) {
-  if (root < 0 || root >= impl_->size) {
-    throw CommError("broadcast: bad root");
-  }
-  return launch_machine<BcastMachine>(*impl_, rank, tag, "broadcast", nullptr,
-                                      [&](BcastMachine& m) {
-                                        m.data = data;
-                                        m.root = root;
-                                      });
-}
-
-WorkPtr EventBackend::all_gather(int rank, const std::vector<double>* data,
-                                 std::vector<double>* out, std::uint64_t tag) {
-  return launch_machine<GatherMachine>(*impl_, rank, tag, "all_gather",
-                                       nullptr, [&](GatherMachine& m) {
-                                         m.data = data;
-                                         m.out = out;
-                                       });
 }
 
 void EventBackend::post(int rank, double vtime, std::function<void()> fn) {
   Impl& b = *impl_;
   if (rank < 0 || rank >= b.size) throw CommError("post: bad rank");
   if (aborted()) throw CommAbortedError("post: process group aborted");
-  if (b.in_pump()) {
-    b.push_task_locked(vtime, std::move(fn));
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(b.mu);
-    b.push_task_locked(vtime, std::move(fn));
-  }
-  b.cv.notify_all();
+  b.change([&] { b.push_task_locked(vtime, std::move(fn)); });
 }
 
 void EventBackend::inject_fault(int rank, double vtime) {
@@ -1314,15 +1033,7 @@ void EventBackend::inject_fault(int rank, double vtime) {
     b.drop_waiters_locked(
         [rank](const ChannelKey& key) { return key.dst == rank; });
   };
-  if (b.in_pump()) {
-    b.push_task_locked(vtime, fault);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(b.mu);
-    b.push_task_locked(vtime, fault);
-  }
-  b.cv.notify_all();
+  b.change([&] { b.push_task_locked(vtime, fault); });
 }
 
 EventStats EventBackend::run_until_idle() {
@@ -1342,8 +1053,9 @@ EventStats EventBackend::run_until_idle() {
   for (const auto& m : stranded) {
     b.fail_machine_locked(
         m, std::make_exception_ptr(CommTimeoutError(
-               std::string(m->op_name) + ": rank " + std::to_string(m->rank) +
-               " stranded (tag=" + std::to_string(m->tag) +
+               std::string(m->call.op_name) + ": rank " +
+               std::to_string(m->rank()) +
+               " stranded (tag=" + std::to_string(m->call.tag) +
                "): event queue ran dry before every rank joined the "
                "collective")));
     ++stats.works_stranded;
@@ -1361,17 +1073,11 @@ EventStats EventBackend::run_until_idle() {
 }
 
 double EventBackend::virtual_now() const {
-  Impl& b = *impl_;
-  if (b.in_pump()) return b.vnow;
-  std::lock_guard<std::mutex> lock(b.mu);
-  return b.vnow;
+  return impl_->locked([&] { return impl_->vnow; });
 }
 
 std::uint64_t EventBackend::events_processed() const {
-  Impl& b = *impl_;
-  if (b.in_pump()) return b.events;
-  std::lock_guard<std::mutex> lock(b.mu);
-  return b.events;
+  return impl_->locked([&] { return impl_->events; });
 }
 
 }  // namespace cannikin::comm

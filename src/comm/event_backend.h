@@ -1,15 +1,14 @@
 // EventBackend: rank virtualization. Thousands of virtual ranks share
 // one discrete-event scheduler instead of owning OS threads.
 //
-// Every collective is a resumable state machine that mirrors, send for
-// send and add for add, the blocking bodies the thread backend runs
-// (collectives.h detail::) -- so reduced tensors are bitwise identical
-// across backends. A machine advances when a message event addressed
-// to it fires; between messages it costs nothing. Virtual time comes
-// from the shared sim::FabricModel: a send at virtual time t arrives
-// at t + delay(src, dst, bytes), and the scheduler pops events in
-// (time, insertion-seq) order, so a fixed program replays the same
-// event sequence every run.
+// Every collective runs the same coroutine body the thread backend runs
+// (transport.h), so reduced tensors are bitwise identical across
+// backends by construction. Here a receive suspends the body and the
+// message event addressed to it resumes it; between messages it costs
+// nothing. Virtual time comes from the shared sim::FabricModel: a send
+// at virtual time t arrives at t + delay(src, dst, bytes), and the
+// scheduler pops events in (time, insertion-seq) order, so a fixed
+// program replays the same event sequence every run.
 //
 // Two driving modes:
 //
@@ -37,7 +36,7 @@
 // event-world analogue of a worker thread dying mid-collective.
 //
 // Re-entrancy: closures running inside the scheduler (post() tasks,
-// machine steps) may issue non-blocking calls (collectives, send,
+// collective bodies) may issue non-blocking calls (collectives, send,
 // post, inject_fault) but must not block; blocking calls from inside
 // an event handler throw CommError.
 #pragma once
@@ -89,15 +88,7 @@ class EventBackend final : public Backend {
   WorkPtr submit(int rank, std::function<void()> op, const char* op_name,
                  int tag) override;
 
-  WorkPtr all_reduce(int rank, std::span<double> data, double weight,
-                     std::uint64_t tag, const char* op_name,
-                     std::shared_ptr<OpTimes> times) override;
-  WorkPtr tree_all_reduce(int rank, std::span<double> data, std::uint64_t tag,
-                          std::shared_ptr<OpTimes> times) override;
-  WorkPtr broadcast(int rank, std::vector<double>* data, int root,
-                    std::uint64_t tag) override;
-  WorkPtr all_gather(int rank, const std::vector<double>* data,
-                     std::vector<double>* out, std::uint64_t tag) override;
+  WorkPtr run_collective(int rank, CollectiveCall call) override;
 
   /// Schedules `fn` as an event at virtual time `vtime` (clamped to
   /// now if in the past) on behalf of `rank`. Inside `fn`,
@@ -122,7 +113,7 @@ class EventBackend final : public Backend {
   /// Events executed so far.
   std::uint64_t events_processed() const;
 
-  /// Scheduler internals (opaque; named by the .cc's state machines).
+  /// Scheduler internals (opaque; named by the .cc's collective machine).
   struct Impl;
 
  private:

@@ -10,11 +10,10 @@ namespace cannikin::comm {
 
 namespace {
 
-std::unique_ptr<Backend> make_backend(const GroupOptions& options,
-                                      ProcessGroup* group) {
+std::unique_ptr<Backend> make_backend(const GroupOptions& options) {
   switch (options.backend) {
     case BackendKind::kThread:
-      return std::make_unique<ThreadBackend>(options, group);
+      return std::make_unique<ThreadBackend>(options);
     case BackendKind::kEvent:
       return std::make_unique<EventBackend>(options);
   }
@@ -31,7 +30,7 @@ ProcessGroup::ProcessGroup(const GroupOptions& options)
     : size_(options.size) {
   if (size_ <= 0) throw CommError("ProcessGroup: size must be positive");
   tag_allocators_.resize(static_cast<std::size_t>(size_));
-  backend_ = make_backend(options, this);
+  backend_ = make_backend(options);
 }
 
 ProcessGroup::~ProcessGroup() {

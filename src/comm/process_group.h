@@ -8,8 +8,8 @@
 //     threads drive Communicator handles, async collectives overlap
 //     with compute on the progress threads, wall-clock delivery delays.
 //
-//   * BackendKind::kEvent -- rank virtualization: collectives are state
-//     machines multiplexed on a discrete-event scheduler in virtual
+//   * BackendKind::kEvent -- rank virtualization: collectives are
+//     coroutines multiplexed on a discrete-event scheduler in virtual
 //     time (event_backend.h), scaling the same API to thousands of
 //     virtual ranks.
 //

@@ -4,8 +4,7 @@
 #include <string>
 #include <utility>
 
-#include "comm/collectives.h"
-#include "comm/process_group.h"
+#include "comm/transport.h"
 
 namespace cannikin::comm {
 
@@ -90,11 +89,32 @@ double wall_seconds() {
       .count();
 }
 
+/// A collective's view of the thread backend from the rank's progress
+/// thread: receives block until the message arrives (or the group times
+/// out or aborts), so the body never suspends.
+struct BlockingTransport final : Transport {
+  BlockingTransport(ThreadBackend& backend, int rank, int size,
+                    FrameBuffer& frames, const std::atomic<bool>& aborted,
+                    const char* op)
+      : Transport(rank, size, frames, aborted), backend(backend), op(op) {}
+
+  void send(int dst, std::uint64_t tag, Payload payload) override {
+    backend.send(rank(), dst, tag, std::move(payload), op);
+  }
+
+  bool receive(int src, std::uint64_t tag) override {
+    inbox = backend.recv(rank(), src, tag, op);
+    return true;
+  }
+
+  ThreadBackend& backend;
+  const char* op;  ///< the algorithm's name, for error attribution
+};
+
 }  // namespace
 
-ThreadBackend::ThreadBackend(const GroupOptions& options, ProcessGroup* group)
-    : group_(group),
-      size_(options.size),
+ThreadBackend::ThreadBackend(const GroupOptions& options)
+    : size_(options.size),
       timeout_seconds_(options.timeout_seconds),
       fabric_(options.fabric),
       retry_(options.retry),
@@ -104,6 +124,7 @@ ThreadBackend::ThreadBackend(const GroupOptions& options, ProcessGroup* group)
     mailboxes_.push_back(std::make_unique<detail::Mailbox>());
   }
   engines_.resize(static_cast<std::size_t>(size_));
+  frames_.resize(static_cast<std::size_t>(size_));
 }
 
 ThreadBackend::~ThreadBackend() {
@@ -212,15 +233,7 @@ void ThreadBackend::send(int src, int dst, std::uint64_t tag, Payload payload,
     const std::uint64_t seq = pair_seq_[{src, dst}]++;
     plan = sim::plan_delivery(fabric_, retry_, src, dst,
                               payload.size() * sizeof(double), now, seq);
-    ++retry_stats_.messages;
-    retry_stats_.resends += static_cast<std::uint64_t>(plan.resends);
-    if (!plan.delivered) ++retry_stats_.dropped;
-    if (retry_scope_.enabled() && plan.resends > 0) {
-      retry_scope_.counter_add("comm.retry.resends", plan.resends);
-    }
-    if (retry_scope_.enabled() && !plan.delivered) {
-      retry_scope_.counter_add("comm.retry.dropped", 1);
-    }
+    retry_stats_.record(plan, retry_scope_);
   }
   if (!plan.delivered) return;  // budget exhausted: the message vanishes
   auto ready_at = now_tp;
@@ -285,55 +298,18 @@ WorkPtr ThreadBackend::submit(int rank, std::function<void()> op,
   return engine(rank).submit(std::move(op), op_name, tag);
 }
 
-WorkPtr ThreadBackend::all_reduce(int rank, std::span<double> data,
-                                  double weight, std::uint64_t tag,
-                                  const char* op_name,
-                                  std::shared_ptr<OpTimes> times) {
-  Communicator comm = group_->communicator(rank);
+WorkPtr ThreadBackend::run_collective(int rank, CollectiveCall call) {
   return engine(rank).submit(
-      [comm, data, weight, tag, times]() mutable {
-        if (times) times->begin_seconds = wall_seconds();
-        if (weight != 1.0) {
-          for (double& v : data) v *= weight;
-        }
-        detail::ring_all_reduce_blocking(comm, data, tag);
-        if (times) times->end_seconds = wall_seconds();
+      [this, rank, call] {
+        if (call.times) call.times->begin_seconds = wall_seconds();
+        BlockingTransport transport(*this, rank, size_,
+                                    frames_[static_cast<std::size_t>(rank)],
+                                    aborted_, algorithm_name(call.algorithm));
+        Collective body = collective_body(transport, call);
+        body.resume();
+        if (call.times) call.times->end_seconds = wall_seconds();
       },
-      op_name, static_cast<int>(tag));
-}
-
-WorkPtr ThreadBackend::tree_all_reduce(int rank, std::span<double> data,
-                                       std::uint64_t tag,
-                                       std::shared_ptr<OpTimes> times) {
-  Communicator comm = group_->communicator(rank);
-  return engine(rank).submit(
-      [comm, data, tag, times]() mutable {
-        if (times) times->begin_seconds = wall_seconds();
-        detail::tree_all_reduce_blocking(comm, data, tag);
-        if (times) times->end_seconds = wall_seconds();
-      },
-      "tree_all_reduce", static_cast<int>(tag));
-}
-
-WorkPtr ThreadBackend::broadcast(int rank, std::vector<double>* data, int root,
-                                 std::uint64_t tag) {
-  Communicator comm = group_->communicator(rank);
-  return engine(rank).submit(
-      [comm, data, root, tag]() mutable {
-        detail::broadcast_blocking(comm, *data, root, tag);
-      },
-      "broadcast", static_cast<int>(tag));
-}
-
-WorkPtr ThreadBackend::all_gather(int rank, const std::vector<double>* data,
-                                  std::vector<double>* out,
-                                  std::uint64_t tag) {
-  Communicator comm = group_->communicator(rank);
-  return engine(rank).submit(
-      [comm, data, out, tag]() mutable {
-        *out = detail::all_gather_blocking(comm, *data, tag);
-      },
-      "all_gather", static_cast<int>(tag));
+      call.op_name, static_cast<int>(call.tag));
 }
 
 }  // namespace cannikin::comm

@@ -1,8 +1,9 @@
-// ThreadBackend: the original runtime behind ProcessGroup, unchanged in
-// behavior -- one mailbox per rank, one comm progress thread
-// (ProgressEngine) per rank, wall-clock message delivery delayed by the
-// shared sim::FabricModel. Collectives submit the classic blocking
-// bodies (collectives.h detail::) to the rank's progress thread.
+// ThreadBackend: the original runtime behind ProcessGroup -- one
+// mailbox per rank, one comm progress thread (ProgressEngine) per rank,
+// wall-clock message delivery delayed by the shared sim::FabricModel.
+// A collective runs its shared coroutine body (transport.h) on the
+// rank's progress thread; every receive blocks in the awaiter's
+// await_ready(), so the body never suspends.
 #pragma once
 
 #include <chrono>
@@ -14,11 +15,9 @@
 #include <mutex>
 #include <vector>
 
-#include "comm/backend.h"
+#include "comm/transport.h"
 
 namespace cannikin::comm {
-
-class ProcessGroup;
 
 namespace detail {
 
@@ -56,10 +55,7 @@ class Mailbox {
 
 class ThreadBackend final : public Backend {
  public:
-  /// `group` is the owning ProcessGroup (used to mint Communicator
-  /// handles for the blocking collective bodies); it outlives the
-  /// backend by construction.
-  ThreadBackend(const GroupOptions& options, ProcessGroup* group);
+  explicit ThreadBackend(const GroupOptions& options);
 
   /// Aborts (failing any still-pending Works) and joins every progress
   /// thread.
@@ -88,21 +84,12 @@ class ThreadBackend final : public Backend {
   WorkPtr submit(int rank, std::function<void()> op, const char* op_name,
                  int tag) override;
 
-  WorkPtr all_reduce(int rank, std::span<double> data, double weight,
-                     std::uint64_t tag, const char* op_name,
-                     std::shared_ptr<OpTimes> times) override;
-  WorkPtr tree_all_reduce(int rank, std::span<double> data, std::uint64_t tag,
-                          std::shared_ptr<OpTimes> times) override;
-  WorkPtr broadcast(int rank, std::vector<double>* data, int root,
-                    std::uint64_t tag) override;
-  WorkPtr all_gather(int rank, const std::vector<double>* data,
-                     std::vector<double>* out, std::uint64_t tag) override;
+  WorkPtr run_collective(int rank, CollectiveCall call) override;
 
   /// The comm progress thread for `rank` (created on first use).
   ProgressEngine& engine(int rank);
 
  private:
-  ProcessGroup* group_;
   int size_;
   double timeout_seconds_ = 0.0;
   obs::Scope scope_;  ///< guarded by engines_mutex_
@@ -124,6 +111,8 @@ class ThreadBackend final : public Backend {
   // Per-rank progress engines, created lazily under engines_mutex_.
   std::mutex engines_mutex_;
   std::vector<std::unique_ptr<ProgressEngine>> engines_;
+  /// Per-rank collective frames, each used only by its rank's engine.
+  std::vector<FrameBuffer> frames_;
 
   // Barrier state (central counter barrier, generation-counted).
   std::mutex barrier_mutex_;

@@ -255,11 +255,21 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(8, 6)));
 
 TEST(Broadcast, BadRootThrows) {
-  ProcessGroup group(2);
-  Communicator comm = group.communicator(0);
-  std::vector<double> data{1.0};
-  EXPECT_THROW(broadcast(comm, data, 2, 1), CommError);
-  EXPECT_THROW(broadcast(comm, data, -1, 1), CommError);
+  // Both forms reject a root outside [0, size) at the call, on either
+  // backend, before any Work exists.
+  for (const BackendKind kind : {BackendKind::kThread, BackendKind::kEvent}) {
+    GroupOptions options;
+    options.size = 2;
+    options.backend = kind;
+    ProcessGroup group(options);
+    Communicator comm = group.communicator(0);
+    std::vector<double> data{1.0};
+    EXPECT_THROW(broadcast(comm, data, 2, 1), CommError);
+    EXPECT_THROW(broadcast(comm, data, -1, 1), CommError);
+    EXPECT_THROW(async_broadcast(comm, &data, 2, 1), CommError);
+    EXPECT_THROW(async_broadcast(comm, &data, -1, 1), CommError);
+    EXPECT_EQ(data, std::vector<double>{1.0});
+  }
 }
 
 // --------------------------------------------------------- BucketReducer

@@ -71,7 +71,7 @@ struct CollectiveResult {
 };
 
 CollectiveResult run_collectives(BackendKind kind, int size,
-                                 std::size_t elements) {
+                                 std::size_t elements, int root) {
   ProcessGroup group = make_group(kind, size);
   CollectiveResult result;
   result.buffers.resize(static_cast<std::size_t>(size));
@@ -85,7 +85,7 @@ CollectiveResult run_collectives(BackendKind kind, int size,
     const auto r = static_cast<std::size_t>(rank);
     result.buffers[r] = rank_payload(rank, elements);
     tree[r] = rank_payload(rank, elements);
-    bcast[r] = rank == 1 % size ? rank_payload(7, 5) : std::vector<double>{};
+    bcast[r] = rank == root ? rank_payload(7, 5) : std::vector<double>{};
     scalars[r] = 0.25 * rank + 0.125;
   }
   for (int rank = 0; rank < size; ++rank) {
@@ -97,18 +97,20 @@ CollectiveResult run_collectives(BackendKind kind, int size,
         tags.next(CollectiveKind::kAllReduce)));
     works.push_back(async_tree_all_reduce(
         comm, tree[r], tags.next(CollectiveKind::kAllReduce)));
-    works.push_back(async_broadcast(comm, &bcast[r], 1 % size,
+    works.push_back(async_broadcast(comm, &bcast[r], root,
                                     tags.next(CollectiveKind::kBroadcast)));
     works.push_back(async_all_reduce_scalar(
         comm, &scalars[r], tags.next(CollectiveKind::kScalar)));
   }
   // all_gather uses the per-rank payload *after* reduction would be
-  // wrong -- gather the original contribution instead, sized unevenly.
+  // wrong -- gather the original contribution instead, sized unevenly
+  // (empty on rank 0 when `elements` is 0).
   std::vector<std::vector<double>> contributions(
       static_cast<std::size_t>(size));
   for (int rank = 0; rank < size; ++rank) {
     const auto r = static_cast<std::size_t>(rank);
-    contributions[r] = rank_payload(rank, 1 + static_cast<std::size_t>(rank));
+    contributions[r] =
+        rank_payload(rank, elements + static_cast<std::size_t>(rank));
     Communicator comm = group.communicator(rank);
     works.push_back(async_all_gather(
         comm, &contributions[r], &result.gathered[r],
@@ -130,22 +132,32 @@ CollectiveResult run_collectives(BackendKind kind, int size,
 
 TEST(BackendParity, CollectivesAreBitwiseIdenticalAcrossBackends) {
   for (const int size : {1, 2, 3, 5, 8}) {
-    // 23 elements: not divisible by any group size, so ring segments
-    // are uneven and exercise make_segments parity.
-    const CollectiveResult threaded =
-        run_collectives(BackendKind::kThread, size, 23);
-    const CollectiveResult event =
-        run_collectives(BackendKind::kEvent, size, 23);
-    for (int rank = 0; rank < size; ++rank) {
-      const auto r = static_cast<std::size_t>(rank);
-      ASSERT_EQ(threaded.buffers[r].size(), event.buffers[r].size())
-          << "size=" << size << " rank=" << rank;
-      for (std::size_t i = 0; i < threaded.buffers[r].size(); ++i) {
-        ASSERT_EQ(threaded.buffers[r][i], event.buffers[r][i])
-            << "size=" << size << " rank=" << rank << " element=" << i;
+    // Element counts: empty, a single element, fewer than the ranks
+    // (empty ring segments) and 23, which no group size divides, so
+    // ring segments are uneven. Every rank takes a turn as the root.
+    for (const std::size_t elements :
+         {std::size_t{0}, std::size_t{1}, static_cast<std::size_t>(size - 1),
+          std::size_t{23}}) {
+      for (int root = 0; root < size; ++root) {
+        const CollectiveResult threaded =
+            run_collectives(BackendKind::kThread, size, elements, root);
+        const CollectiveResult event =
+            run_collectives(BackendKind::kEvent, size, elements, root);
+        for (int rank = 0; rank < size; ++rank) {
+          const auto r = static_cast<std::size_t>(rank);
+          ASSERT_EQ(threaded.buffers[r].size(), event.buffers[r].size())
+              << "size=" << size << " elements=" << elements
+              << " root=" << root << " rank=" << rank;
+          for (std::size_t i = 0; i < threaded.buffers[r].size(); ++i) {
+            ASSERT_EQ(threaded.buffers[r][i], event.buffers[r][i])
+                << "size=" << size << " elements=" << elements
+                << " root=" << root << " rank=" << rank << " element=" << i;
+          }
+          ASSERT_EQ(threaded.gathered[r], event.gathered[r])
+              << "size=" << size << " elements=" << elements
+              << " root=" << root << " rank=" << rank;
+        }
       }
-      ASSERT_EQ(threaded.gathered[r], event.gathered[r])
-          << "size=" << size << " rank=" << rank;
     }
   }
 }
