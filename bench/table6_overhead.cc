@@ -1,8 +1,9 @@
 // Table 6: Cannikin's configuration overhead per workload on cluster B.
 //
-// Overhead = measured planning wall-clock (candidate evaluation +
-// OptPerf solves) + modeled reconfiguration cost (local-batch and
-// data-index distribution), relative to epoch training time.
+// Overhead = modeled planning cost (the OptPerf equation solves of
+// candidate evaluation, at the harness's calibrated per-solve cost) +
+// modeled reconfiguration cost (local-batch and data-index
+// distribution), relative to epoch training time.
 //
 // Paper shape: far below 1% for the medium/large models; the small
 // fast-epoch applications (CIFAR-10, MovieLens) peak at 9% / 12% near

@@ -16,11 +16,8 @@
 #
 # Measured wall-clock fields vary run to run by design. They are
 # normalised by one filter per bench (normalize below) before the
-# diff; every other byte must match. Two benches are skipped:
-#   - micro_perf: every number it prints is measured;
-#   - fig07_convergence_process: measured planning time leaks into its
-#     simulated clock, so two runs of one binary already differ (ROADMAP
-#     item 1(a)).
+# diff; every other byte must match. micro_perf is skipped: every
+# number it prints is measured.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -37,9 +34,9 @@ normalize() {
       sed -E 's#[0-9.]+ scenarios/sec#<measured> scenarios/sec#' ;;
     disc_fault_recovery)
       # Scenarios 4-5: the checkpoint write/restore seconds, and the
-      # totals that include measured wall clock: checkpoint I/O, and
-      # planning time (ROADMAP item 1(a)) in the checkpointed-restart,
-      # discard-epoch, shrink-only and re-join totals.
+      # supervised totals, which bill that measured checkpoint I/O to
+      # the simulated clock (checkpointed-restart, discard-epoch,
+      # shrink-only and re-join; planning time is modeled).
       sed -E 's/[0-9.]+s measured/<measured>s measured/g;
               s/measured overhead [0-9.]+s/measured overhead <measured>s/g;
               s/checkpointed restart [0-9.]+s/checkpointed restart <measured>s/;
@@ -82,7 +79,7 @@ for bin in "$new"/bench/*; do
   [[ -f "$bin" && -x "$bin" ]] || continue
   name="$(basename "$bin")"
   case "$name" in
-    micro_perf | fig07_convergence_process)
+    micro_perf)
       echo "skip $name"
       continue ;;
   esac

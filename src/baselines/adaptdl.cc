@@ -15,10 +15,19 @@ AdaptDlSystem::AdaptDlSystem(int num_nodes, int initial_total_batch,
       max_local_batches_(std::move(max_local_batches)),
       goodput_(initial_total_batch) {
   if (num_nodes <= 0) throw std::invalid_argument("AdaptDlSystem: bad nodes");
-  // At least one sample per worker; the goodput anchor stays at B0.
-  initial_total_batch_ = std::max(initial_total_batch_, num_nodes_);
+  // At least one sample per worker and at most what the workers' device
+  // memory holds: even_split caps each worker, so a larger total would
+  // be reported (and credited) while a smaller one trains. The goodput
+  // anchor stays at B0.
+  double cap_sum = 0.0;
+  for (double cap : max_local_batches_) cap_sum += cap;
+  const int capacity = std::max(
+      static_cast<int>(std::min<double>(cap_sum, 1 << 30)), num_nodes_);
+  initial_total_batch_ =
+      std::min(std::max(initial_total_batch_, num_nodes_), capacity);
   candidates_ = core::batch_size_candidates(
-      initial_total_batch_, std::max(max_total_batch, initial_total_batch_),
+      initial_total_batch_,
+      std::max(std::min(max_total_batch, capacity), initial_total_batch_),
       1.25);
 }
 

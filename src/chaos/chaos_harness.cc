@@ -16,6 +16,7 @@
 #include "comm/collectives.h"
 #include "comm/event_backend.h"
 #include "comm/process_group.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "common/temp_dir.h"
@@ -24,19 +25,8 @@
 namespace cannikin::chaos {
 namespace {
 
-// splitmix64, same mixer the LinkFaults drop hash uses: the checksum
-// must not depend on wall clock or global RNG state.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t hash_combine(std::uint64_t h, std::uint64_t v) {
-  return mix64(h ^ mix64(v));
-}
-
+// The checksum is a splitmix64 chain (common/hash.h): it must not
+// depend on wall clock or global RNG state.
 std::uint64_t hash_double(std::uint64_t h, double v) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
@@ -59,7 +49,7 @@ std::vector<double> initial_tensor(std::uint64_t seed, int node, int elements) {
   std::uint64_t h = hash_combine(mix64(seed), static_cast<std::uint64_t>(node));
   for (auto& v : tensor) {
     h = mix64(h);
-    v = static_cast<double>(h >> 11) * 0x1.0p-53 - 0.5;
+    v = to_unit(h) - 0.5;
   }
   return tensor;
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "comm/transport.h"
+#include "common/hash.h"
 #include "sim/event_queue.h"
 
 namespace cannikin::comm {
@@ -103,15 +104,6 @@ struct Fifo {
 std::uint64_t pack_ranks(int hi, int lo) {
   return static_cast<std::uint64_t>(static_cast<std::uint32_t>(hi)) << 32 |
          static_cast<std::uint32_t>(lo);
-}
-
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
 }
 
 /// Open-addressing hash map (linear probing, backward-shift erase) for

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace cannikin::core {
 
@@ -15,6 +16,85 @@ std::vector<int> even_split(int total, const std::vector<double>& caps) {
   std::vector<double> continuous(n, static_cast<double>(total) /
                                         static_cast<double>(n));
   return round_batches(continuous, total, caps);
+}
+
+// Smallest distance, relative to the first probe, between a node's two
+// bootstrap batch sizes. A line through two sizes one sample apart is
+// fitted to measurement noise: at 43 and 44 samples under 4% noise the
+// fit can come out flat (zero per-sample cost), and OptPerf then plans
+// the node at zero samples.
+constexpr double kBootstrapSpread = 0.25;
+
+int probe_gap(int first) {
+  return std::max(1, static_cast<int>(std::ceil(kBootstrapSpread * first)));
+}
+
+// How far node `w` can move from `next` in direction `dir` (+1 up, -1
+// down) without leaving [1, cap] or coming closer to its first probe
+// `prev` than both its gap and its current distance.
+int partner_room(int next, int prev, double cap, int dir) {
+  const int bound = dir > 0 ? static_cast<int>(std::min<double>(
+                                  cap - next, 1 << 30))
+                            : next - 1;
+  const int distance = std::abs(next - prev);
+  if (next == prev || (next > prev) == (dir > 0)) return std::max(bound, 0);
+  return std::max(0, std::min(bound, distance - probe_gap(prev)));
+}
+
+// Moves every node whose second bootstrap probe `next` lies closer than
+// probe_gap() to its first `prev` out to that gap, trading the samples
+// with partners so the total stays fixed. A node no partner can cover
+// keeps its Eq. (8) size; the zero-batch re-probe of model_plan() is
+// the backstop for whatever fit it then gets.
+void spread_probes(std::vector<int>& next, const std::vector<int>& prev,
+                   const std::vector<double>& caps) {
+  const std::size_t n = next.size();
+  std::vector<std::pair<std::size_t, int>> takes;  // (partner, samples)
+  for (std::size_t u = 0; u < n; ++u) {
+    if (prev[u] <= 0) continue;
+    const int gap = probe_gap(prev[u]);
+    if (std::abs(next[u] - prev[u]) >= gap) continue;
+    const int preferred = next[u] < prev[u] ? -1 : 1;
+    for (const int dir : {preferred, -preferred}) {
+      const int target = prev[u] + dir * gap;
+      if (target < 1 || target > caps[u]) continue;
+      // Partners move against `dir`, each by as much as it has room.
+      int need = std::abs(target - next[u]);
+      takes.clear();
+      for (std::size_t k = 1; k < n && need > 0; ++k) {
+        const std::size_t w = (u + k) % n;
+        const int take =
+            std::min(need, partner_room(next[w], prev[w], caps[w], -dir));
+        if (take == 0) continue;
+        takes.emplace_back(w, take);
+        need -= take;
+      }
+      if (need > 0) continue;
+      next[u] = target;
+      for (const auto& [w, take] : takes) next[w] -= dir * take;
+      break;
+    }
+  }
+}
+
+// A node planned at zero samples produces no observation, so a wrong
+// model of it could never be corrected. Each such node that has not yet
+// been observed at one sample gets one, from the largest local batch:
+// the reading at that new size grounds the fit near zero, and if the
+// refit still plans the node at zero, the zero stands.
+void reprobe_starved(std::vector<int>& batches,
+                     const std::vector<double>& caps,
+                     const ClusterPerfModel& model) {
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    if (batches[i] > 0 || caps[i] < 1.0) continue;
+    if (model.node_learner(static_cast<int>(i)).smallest_batch() == 1) {
+      continue;
+    }
+    const auto largest = std::max_element(batches.begin(), batches.end());
+    if (*largest < 2) return;
+    --*largest;
+    batches[i] = 1;
+  }
 }
 
 }  // namespace
@@ -162,41 +242,11 @@ EpochPlan CannikinController::bootstrap_plan() {
   plan.local_batches =
       bootstrap_assignment(per_sample, plan.total_batch, max_local_batches_);
 
-  // The linear model of Eq. (3) needs two *distinct* local batch sizes
-  // per node. Eq. (8) can reproduce a node's previous batch (e.g. a
-  // mid-speed node in a symmetric cluster); nudge such nodes by one
-  // sample, trading with a partner so the total stays fixed.
-  std::vector<std::size_t> unchanged;
-  for (std::size_t i = 0; i < plan.local_batches.size(); ++i) {
-    if (plan.local_batches[i] == last_local_batches_[i] &&
-        plan.local_batches[i] > 0) {
-      unchanged.push_back(i);
-    }
-  }
-  for (std::size_t pair = 0; pair + 1 < unchanged.size(); pair += 2) {
-    const std::size_t u = unchanged[pair];
-    const std::size_t v = unchanged[pair + 1];
-    if (plan.local_batches[u] + 1 <= max_local_batches_[u] &&
-        plan.local_batches[v] > 1) {
-      ++plan.local_batches[u];
-      --plan.local_batches[v];
-    }
-  }
-  if (unchanged.size() % 2 == 1) {
-    const std::size_t u = unchanged.back();
-    for (std::size_t w = 0; w < plan.local_batches.size(); ++w) {
-      if (w == u) continue;
-      // Stealing one sample from w must not make *w* collide with its
-      // own previous batch size.
-      if (plan.local_batches[w] > 1 &&
-          plan.local_batches[w] - 1 != last_local_batches_[w] &&
-          plan.local_batches[u] + 1 <= max_local_batches_[u]) {
-        --plan.local_batches[w];
-        ++plan.local_batches[u];
-        break;
-      }
-    }
-  }
+  // The linear model of Eq. (3) needs two local batch sizes per node,
+  // far enough apart that noise cannot flatten the fitted line. Eq. (8)
+  // can reproduce a node's previous batch, or move it by a sample (e.g.
+  // a mid-speed node in a symmetric cluster); spread such nodes out.
+  spread_probes(plan.local_batches, last_local_batches_, max_local_batches_);
   return plan;
 }
 
@@ -242,6 +292,7 @@ EpochPlan CannikinController::model_plan() {
     cache_valid_ = true;
     plan.total_batch = fixed_total;
     plan.local_batches = result.local_batches_int;
+    reprobe_starved(plan.local_batches, max_local_batches_, perf_model_);
     plan.predicted_batch_time = result.batch_time;
     plan.linear_solves = solves;
     return plan;
@@ -310,6 +361,7 @@ EpochPlan CannikinController::model_plan() {
 
   plan.accumulation_steps = solved.steps;
   plan.local_batches = std::move(solved.micro_batches);
+  reprobe_starved(plan.local_batches, max_local_batches_, perf_model_);
   // With accumulation, the trained batch per optimizer step is the
   // micro-batch sum times the step count; rounding of the micro batch
   // can shift it a few samples from the nominal candidate, and progress

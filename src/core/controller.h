@@ -2,8 +2,9 @@
 //
 // Before each epoch the controller produces an EpochPlan:
 //  - epochs 0/1 (no performance model yet): even split, then the
-//    Eq. (8) bootstrap assignment, so every node visits two distinct
-//    local batch sizes and the linear models become identifiable;
+//    Eq. (8) bootstrap assignment, spread so every node visits two
+//    local batch sizes at least a quarter apart and the linear models
+//    become identifiable under measurement noise;
 //  - once the analyzer's models are ready: enumerate the total-batch
 //    candidates, score each by goodput using the cached OptPerf_init
 //    values refreshed with the current GNS, pick the best, and solve
@@ -11,6 +12,8 @@
 //    If the chosen candidate's overlap state changed, the whole
 //    OptPerf_init cache is recomputed (Section 4.5, "Total batch size
 //    selection").
+//    A node the plan leaves at zero samples is re-probed once with one
+//    sample, so a model fitted far from zero gets a reading near it.
 //
 // After each epoch the caller feeds back the observations; during the
 // epoch it feeds gradient-noise measurements. The controller is

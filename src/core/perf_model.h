@@ -73,6 +73,10 @@ class NodePerfLearner {
   std::optional<NodeModel> fit() const;
 
   std::size_t num_distinct_batches() const { return a_points_.size(); }
+  /// Smallest local batch observed so far; 0 before any observation.
+  int smallest_batch() const {
+    return a_points_.empty() ? 0 : a_points_.begin()->first;
+  }
   bool has_prior() const { return prior_.has_value(); }
 
   /// Drift handling ("sudden changes of resources", Section 1): when a
@@ -156,6 +160,10 @@ class ClusterPerfModel {
   std::optional<std::vector<NodeModel>> node_models() const;
 
   std::optional<CommTimes> comm_times() const { return comm_.estimate(); }
+
+  const NodePerfLearner& node_learner(int node) const {
+    return node_learners_.at(static_cast<std::size_t>(node));
+  }
 
   void set_max_batches(const std::vector<double>& caps);
 

@@ -65,7 +65,8 @@ RunTrace run_loop(sim::ClusterJob& job, const workloads::Workload& workload,
     }
 
     row.overhead_seconds =
-        plan.planning_seconds * options.overhead_scale +
+        plan.linear_solves * kPlanningSecondsPerSolve *
+            options.overhead_scale +
         options.index_cost_per_sample *
             static_cast<double>(workload.dataset_size) +
         options.config_cost_per_node * job.size();

@@ -65,12 +65,11 @@ class ElasticCannikinJob {
   /// models (no bootstrap needed) -- observability for tests/benches.
   int warm_reallocations() const { return warm_reallocations_; }
 
-  /// By default each epoch's configuration overhead includes the
-  /// *measured* wall-clock planning time (the paper's Table 6
-  /// overhead), which makes virtual timings nondeterministic at the
-  /// microsecond scale. Discrete-event drivers that need bit-identical
-  /// replays (FleetSim) set a fixed modeled planning cost instead;
-  /// a negative value restores the measured default.
+  /// Each epoch's configuration overhead charges a fixed modeled
+  /// planning cost (default 1 ms, as FleetOptions), so virtual timings
+  /// replay bit-identically. A negative value charges the measured
+  /// wall-clock planning time instead, which makes them
+  /// nondeterministic at the microsecond scale.
   void set_modeled_planning_seconds(double seconds) {
     modeled_planning_seconds_ = seconds;
   }
@@ -172,7 +171,7 @@ class ElasticCannikinJob {
   std::unique_ptr<experiments::CannikinSystem> system_;
 
   ModelBank bank_;
-  double modeled_planning_seconds_ = -1.0;  ///< < 0: charge measured
+  double modeled_planning_seconds_ = 1e-3;  ///< < 0: charge measured
   double progress_ = 0.0;
   int epochs_ = 0;
   int warm_reallocations_ = 0;

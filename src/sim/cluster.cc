@@ -5,7 +5,30 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/hash.h"
+#include "common/rng.h"
+
 namespace cannikin::sim {
+
+namespace {
+
+// What a draw perturbs. With the node index it forms the last counter
+// of a draw's key, so no two draws of one epoch share a key.
+enum Draw : std::uint64_t {
+  kRun,        // run-to-run jitter on a node's compute, per micro-step
+  kMeasuredA,  // measurement error on the observed a_i
+  kMeasuredP,  // measurement error on the observed P_i
+  kGamma,      // communication readings: gamma, T_o, T_u
+  kTOther,
+  kTLast,
+  kDrawKinds,
+};
+
+std::uint64_t draw_key(std::uint64_t micro_key, std::size_t node, Draw kind) {
+  return hash_combine(micro_key, node * kDrawKinds + kind);
+}
+
+}  // namespace
 
 NodeTruth derive_node_truth(const NodeSpec& node, const JobProfile& job) {
   const double gpu = gpu_spec(node.gpu).relative_speed * node.contention;
@@ -48,7 +71,7 @@ ClusterJob::ClusterJob(ClusterSpec cluster, JobProfile job, NoiseConfig noise,
                 : make_comm_schedule(cluster_.network, job_.gradient_bytes,
                                      job_.bucket_bytes,
                                      cluster_.comm_groups)),
-      rng_(seed) {
+      seed_(seed) {
   if (cluster_.nodes.empty()) {
     throw std::invalid_argument("ClusterJob: empty cluster");
   }
@@ -138,13 +161,22 @@ EpochObservation ClusterJob::run_epoch(const std::vector<int>& local_batches,
   std::vector<double> p_sum(base.size(), 0.0);
   double time_sum = 0.0;
 
+  // Every draw is a pure hash of (seed, epoch, step, micro-step, node,
+  // kind): an epoch's noise depends only on its own index, never on how
+  // many draws earlier epochs used.
+  const std::uint64_t epoch_key = hash_combine(mix64(seed_), epoch_++);
+  const double run_sigma = noise_.enabled ? noise_.run_sigma : 0.0;
+
   // Only the batch time of each step is kept, so the batch loop runs
   // the allocation-free kernel rather than building a BatchTimeline.
   BatchTimeKernel kernel(comm_, job_.gamma);
   for (int batch = 0; batch < num_batches; ++batch) {
+    const std::uint64_t step_key =
+        hash_combine(epoch_key, static_cast<std::uint64_t>(batch));
+    const std::uint64_t sync_key = hash_combine(step_key, 0);
     for (std::size_t i = 0; i < base.size(); ++i) {
       const double jitter =
-          noise_.enabled ? rng_.lognormal_jitter(noise_.run_sigma) : 1.0;
+          lognormal_jitter(run_sigma, draw_key(sync_key, i, kRun));
       const double a = base[i].a * jitter;
       const double p = base[i].p * jitter;
       a_sum[i] += a;
@@ -155,10 +187,12 @@ EpochObservation ClusterJob::run_epoch(const std::vector<int>& local_batches,
     // Accumulation micro-steps: compute only, no synchronization, the
     // step gated by the slowest node each time.
     for (int micro = 1; micro < accumulation_steps; ++micro) {
+      const std::uint64_t micro_key =
+          hash_combine(step_key, static_cast<std::uint64_t>(micro));
       double compute = 0.0;
       for (std::size_t i = 0; i < base.size(); ++i) {
         const double jitter =
-            noise_.enabled ? rng_.lognormal_jitter(noise_.run_sigma) : 1.0;
+            lognormal_jitter(run_sigma, draw_key(micro_key, i, kRun));
         compute = std::max(compute, (base[i].a + base[i].p) * jitter);
       }
       step_time += compute;
@@ -168,6 +202,10 @@ EpochObservation ClusterJob::run_epoch(const std::vector<int>& local_batches,
 
   epoch.avg_batch_time = time_sum / num_batches;
   epoch.total_time = time_sum;
+  // The profiler's readings take step 0, micro-step 0: their draw kinds
+  // keep them apart from that step's run jitter.
+  const std::uint64_t reading_key =
+      hash_combine(hash_combine(epoch_key, 0), 0);
   for (std::size_t i = 0; i < base.size(); ++i) {
     NodeObservation& obs = epoch.nodes[i];
     obs.local_batch = local_batches[i];
@@ -176,12 +214,18 @@ EpochObservation ClusterJob::run_epoch(const std::vector<int>& local_batches,
     // sqrt(num_batches); keep a floor so it never vanishes entirely.
     const double eff_sigma =
         sigma / std::sqrt(std::max(1.0, static_cast<double>(num_batches) / 8.0));
-    obs.a = (a_sum[i] / num_batches) * rng_.lognormal_jitter(eff_sigma);
-    obs.p = (p_sum[i] / num_batches) * rng_.lognormal_jitter(eff_sigma);
+    obs.a = (a_sum[i] / num_batches) *
+            lognormal_jitter(eff_sigma, draw_key(reading_key, i, kMeasuredA));
+    obs.p = (p_sum[i] / num_batches) *
+            lognormal_jitter(eff_sigma, draw_key(reading_key, i, kMeasuredP));
     const double comm_sigma = noise_.enabled ? node_comm_sigma_[i] : 0.0;
-    obs.gamma = job_.gamma * rng_.lognormal_jitter(comm_sigma);
-    obs.t_other = comm_.t_other * rng_.lognormal_jitter(comm_sigma);
-    obs.t_last = comm_.t_last * rng_.lognormal_jitter(comm_sigma);
+    obs.gamma = job_.gamma *
+                lognormal_jitter(comm_sigma, draw_key(reading_key, i, kGamma));
+    obs.t_other = comm_.t_other * lognormal_jitter(
+                                      comm_sigma,
+                                      draw_key(reading_key, i, kTOther));
+    obs.t_last = comm_.t_last *
+                 lognormal_jitter(comm_sigma, draw_key(reading_key, i, kTLast));
   }
   return epoch;
 }

@@ -8,10 +8,10 @@
 // src/core may touch the ground truth.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "sim/gpu.h"
 #include "sim/network.h"
 #include "sim/timeline.h"
@@ -195,7 +195,10 @@ class ClusterJob {
   std::vector<NodeTruth> truths_;
   std::vector<double> node_meas_sigma_;
   std::vector<double> node_comm_sigma_;
-  Rng rng_;
+  /// Noise key: every draw hashes (seed_, epoch index, step, micro-step,
+  /// node, kind); epoch_ counts the run_epoch() calls made so far.
+  std::uint64_t seed_;
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace cannikin::sim

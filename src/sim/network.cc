@@ -5,6 +5,8 @@
 #include <map>
 #include <stdexcept>
 
+#include "common/hash.h"
+
 namespace cannikin::sim {
 
 double NetworkModel::all_reduce_time(double bytes, int n) const {
@@ -46,29 +48,6 @@ double NetworkModel::hierarchical_all_reduce_time(
   return total;
 }
 
-namespace {
-
-// splitmix64 finalizer (Vigna): the per-attempt drop/jitter draws are a
-// pure hash of (seed, src, dst, attempt), so replaying a schedule never
-// depends on hidden RNG state or evaluation order.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t hash_combine(std::uint64_t h, std::uint64_t v) {
-  return mix64(h ^ mix64(v));
-}
-
-// Uniform double in [0, 1) from the top 53 bits of a hash.
-double to_unit(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
-
 bool LinkFaults::partitioned(int src, int dst, double at_seconds) const {
   if (!enabled || partition_side.empty() || src == dst) return false;
   auto side = [this](int rank) {
@@ -80,6 +59,9 @@ bool LinkFaults::partitioned(int src, int dst, double at_seconds) const {
   return partition_heal_seconds < 0.0 || at_seconds < partition_heal_seconds;
 }
 
+// The per-attempt drop and jitter draws are a pure hash of (seed, src,
+// dst, attempt), so replaying a schedule never depends on hidden RNG
+// state or evaluation order.
 bool LinkFaults::dropped(int src, int dst, std::uint64_t attempt_id) const {
   if (!enabled || drop_probability <= 0.0 || src == dst) return false;
   std::uint64_t h = mix64(seed);

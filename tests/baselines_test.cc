@@ -160,6 +160,22 @@ TEST(AdaptDl, StaysSmallWhenNoiseLow) {
   }
 }
 
+// A total above the sum of the device caps used to be reported while
+// the capped even split trained fewer samples (400 reported, 348
+// trained), so the harness credited progress for samples never run.
+TEST(AdaptDl, PlannedTotalIsWhatTheCappedSplitTrains) {
+  auto job = make_job(sim::cluster_a());
+  AdaptDlSystem adaptdl(3, 400, 800, {174, 116, 58});
+  adaptdl.observe_gns(1e5);
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    const auto plan = adaptdl.plan_epoch();
+    int local_sum = 0;
+    for (int b : plan.local_batches) local_sum += b;
+    EXPECT_EQ(local_sum * plan.accumulation_steps, plan.total_batch);
+    adaptdl.observe_epoch(job.run_epoch(plan.local_batches, 2));
+  }
+}
+
 // AdaptDL fits its batch-time line once per observation, not once per
 // candidate. After every observation, its predictions off the observed
 // sizes must lie on the least-squares line through the current means,

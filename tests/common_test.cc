@@ -245,11 +245,64 @@ TEST(Rng, ForkIsIndependentButReproducible) {
 }
 
 TEST(Rng, LognormalJitterHasMedianOne) {
-  Rng rng(9);
+  const std::uint64_t seed = mix64(9);
   std::vector<double> draws;
-  for (int i = 0; i < 4001; ++i) draws.push_back(rng.lognormal_jitter(0.3));
+  for (std::uint64_t i = 0; i < 4001; ++i) {
+    draws.push_back(lognormal_jitter(0.3, hash_combine(seed, i)));
+  }
   EXPECT_NEAR(percentile(draws, 50.0), 1.0, 0.05);
-  EXPECT_DOUBLE_EQ(Rng(1).lognormal_jitter(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(lognormal_jitter(0.0, 1), 1.0);
+}
+
+// AS241 against the forward CDF: Phi(z) = erfc(-z / sqrt 2) / 2. Tail
+// probabilities are compared relatively (on 1 - p above the median),
+// from p = 1e-300 through the central region and both branch edges
+// (|p - 0.5| = 0.425, r = 5) to the extremes a key can produce. An
+// error dz in z moves Phi(z) by about |z| dz relative, and erfc's own
+// error grows the same way, hence the (1 + z^2) in the tolerance.
+TEST(InverseNormalCdf, MatchesErfcFromTailToTail) {
+  const auto lower_tail = [](double z) {
+    return 0.5 * std::erfc(-z / std::sqrt(2.0));
+  };
+  const auto tolerance = [](double z) { return 4e-15 * (1.0 + z * z); };
+  std::vector<double> grid = {1e-300, 1e-200, 1e-100, 1e-50, 1e-20,
+                              1e-12,  1.4e-11, 1e-8,  1e-5,  1e-3,
+                              0.01,   0.05,   0.0749, 0.075, 0.0751,
+                              0.1,    0.2,    0.3,    0.4,   0.5};
+  grid.push_back(to_open_unit(0));  // smallest uniform a key yields
+  for (double p : grid) {
+    const double z = inverse_normal_cdf(p);
+    EXPECT_NEAR(lower_tail(z) / p, 1.0, tolerance(z)) << "p = " << p;
+    // Mirror: the upper tail at 1 - p, against its exact complement.
+    const double upper = 1.0 - p;
+    if (upper < 1.0) {
+      const double z_upper = inverse_normal_cdf(upper);
+      EXPECT_NEAR(lower_tail(-z_upper) / (1.0 - upper), 1.0,
+                  tolerance(z_upper))
+          << "1 - p, p = " << p;
+    }
+  }
+  EXPECT_EQ(inverse_normal_cdf(0.5), 0.0);
+  // Keys map to cell midpoints symmetric about 1/2, so the extreme
+  // draws are finite and mirror each other exactly.
+  const double lowest = inverse_normal_cdf(to_open_unit(0));
+  EXPECT_NEAR(lowest, -8.2095361516013856, 1e-12);
+  EXPECT_EQ(inverse_normal_cdf(to_open_unit(~0ULL)), -lowest);
+}
+
+// Over 10^6 keys the log of the jitter must look like N(0, sigma): its
+// mean and standard deviation each within 4 standard errors.
+TEST(InverseNormalCdf, KeyedLogJitterIsCenteredWithSigmaSpread) {
+  const double sigma = 0.04;
+  const std::uint64_t n = 1000000;
+  const std::uint64_t seed = mix64(20240611);
+  RunningMoments moments;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    moments.add(std::log(lognormal_jitter(sigma, hash_combine(seed, i))));
+  }
+  EXPECT_NEAR(moments.mean(), 0.0, 4.0 * sigma / std::sqrt(n));
+  EXPECT_NEAR(moments.stddev(), sigma,
+              4.0 * sigma / std::sqrt(2.0 * n));
 }
 
 TEST(Rng, UniformIntCoversRangeInclusive) {

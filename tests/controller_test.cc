@@ -4,6 +4,8 @@
 // mode, and GNS-driven batch growth.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/controller.h"
 #include "sim/cluster_factory.h"
 #include "workloads/registry.h"
@@ -163,6 +165,109 @@ TEST(Controller, LearnedModelsApproachTruth) {
   }
   EXPECT_NEAR(comm->gamma, job.gamma(), 1e-9);
   EXPECT_NEAR(comm->t_other, job.comm().t_other, 1e-9);
+}
+
+// The starved-node case, fed to the controller directly (no simulator
+// stream): a node probed at two sizes one sample apart can be fitted a
+// flat line, OptPerf then plans it at zero samples, and an unobserved
+// node's model could never be corrected.
+struct LinearNode {
+  double q, s, k, m;
+  double a(int b) const { return q * b + s; }
+  double p(int b) const { return k * b + m; }
+};
+
+const LinearNode kTruth[] = {{0.0013, 0.006, 0.0026, 0.010},
+                             {0.0026, 0.012, 0.0052, 0.020},
+                             {0.0050, 0.020, 0.0100, 0.030}};
+const CommTimes kComm{0.15, 0.05, 0.01};
+
+// Feeds one epoch at `batches`; node i's readings are scaled by
+// scale[i] (1 = exact truth).
+void feed_truth(CannikinController& controller,
+                const std::vector<int>& batches,
+                const std::vector<double>& scale = {1.0, 1.0, 1.0}) {
+  std::vector<double> a, p;
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    a.push_back(kTruth[i].a(batches[i]) * scale[i]);
+    p.push_back(kTruth[i].p(batches[i]) * scale[i]);
+  }
+  const std::vector<double> g(3, kComm.gamma), to(3, kComm.t_other),
+      tu(3, kComm.t_last);
+  controller.observe_epoch(batches, a, p, g, to, tu);
+}
+
+ControllerOptions fixed_batch(int total) {
+  ControllerOptions options;
+  options.initial_total_batch = total;
+  options.max_total_batch = total;
+  options.adaptive_batch = false;
+  return options;
+}
+
+TEST(Controller, BootstrapProbesEachNodeAQuarterApart) {
+  const std::vector<double> caps(3, 1000.0);
+  CannikinController controller(3, caps, fixed_batch(128));
+  const auto first = controller.plan_epoch().local_batches;
+  ASSERT_EQ(first, (std::vector<int>{43, 43, 42}));
+  // Readings that put node 1 at the cluster's mean per-sample speed:
+  // Eq. (8) alone would move it by at most one sample.
+  const std::vector<double> compute = {0.307, 0.43, 0.825};
+  std::vector<double> per_sample;
+  for (std::size_t i = 0; i < 3; ++i) {
+    per_sample.push_back(compute[i] / first[i]);
+  }
+  const auto eq8 = bootstrap_assignment(per_sample, 128, caps);
+  ASSERT_LE(std::abs(eq8[1] - first[1]), 1);
+
+  const std::vector<double> zero(3, 0.0), g(3, 0.15);
+  controller.observe_epoch(first, compute, zero, g, zero, zero);
+  const auto second = controller.plan_epoch().local_batches;
+  int total = 0;
+  for (std::size_t i = 0; i < 3; ++i) {
+    total += second[i];
+    EXPECT_GE(std::abs(second[i] - first[i]),
+              static_cast<int>(std::ceil(0.25 * first[i])))
+        << "node " << i;
+  }
+  EXPECT_EQ(total, 128);
+  // Eq. (8)'s ordering survives the spread: fastest node largest.
+  EXPECT_GT(second[0], second[2]);
+}
+
+TEST(Controller, NodePlannedAtZeroIsReprobedAndRecovers) {
+  const std::vector<double> caps(3, 1000.0);
+  CannikinController controller(3, caps, fixed_batch(128));
+  controller.plan_epoch();
+  controller.plan_epoch();
+  // Node 1 read 2% high at 43 samples and 2% low at 44: its fitted
+  // lines come out flat (per-sample cost clamped to ~0) with a large
+  // fixed cost.
+  feed_truth(controller, {43, 43, 42}, {1.0, 1.02, 1.0});
+  feed_truth(controller, {80, 44, 24}, {1.0, 0.98, 1.0});
+  const auto flat = controller.learned_models();
+  ASSERT_TRUE(flat && controller.learned_comm());
+  ASSERT_LT((*flat)[1].q, 1e-6);
+  // On that model OptPerf alone starves node 1.
+  OptPerfSolver degenerate(*flat, *controller.learned_comm());
+  ASSERT_EQ(degenerate.solve(128).local_batches_int[1], 0);
+
+  const auto reprobe = controller.plan_epoch();
+  EXPECT_GE(reprobe.local_batches[1], 1);
+  EXPECT_EQ(reprobe.local_batches[0] + reprobe.local_batches[1] +
+                reprobe.local_batches[2],
+            128);
+  // The re-probe's reading identifies node 1's slope; the next plan
+  // gives it (close to) its optimal share.
+  feed_truth(controller, reprobe.local_batches);
+  std::vector<NodeModel> truth;
+  for (const auto& node : kTruth) {
+    truth.push_back({node.q, node.s, node.k, node.m, 1000.0});
+  }
+  const auto optimum = OptPerfSolver(truth, kComm).solve(128);
+  const auto recovered = controller.plan_epoch();
+  EXPECT_NEAR(recovered.local_batches[1], optimum.local_batches_int[1],
+              0.2 * optimum.local_batches_int[1]);
 }
 
 TEST(Controller, Validation) {

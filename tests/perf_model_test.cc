@@ -39,14 +39,17 @@ TEST(NodePerfLearner, RecoversExactLinearModel) {
 }
 
 TEST(NodePerfLearner, RepeatedObservationsRefineUnderNoise) {
-  Rng rng(1);
+  const std::uint64_t seed = mix64(1);
+  std::uint64_t draw = 0;
   NodePerfLearner noisy_few, noisy_many;
   auto a_true = [](int b) { return 0.002 * b + 0.01; };
   auto p_true = [](int b) { return 0.004 * b + 0.005; };
   for (int rep = 0; rep < 50; ++rep) {
     for (int b : {16, 64, 256}) {
-      const double a = a_true(b) * rng.lognormal_jitter(0.05);
-      const double p = p_true(b) * rng.lognormal_jitter(0.05);
+      const double a =
+          a_true(b) * lognormal_jitter(0.05, hash_combine(seed, draw++));
+      const double p =
+          p_true(b) * lognormal_jitter(0.05, hash_combine(seed, draw++));
       noisy_many.observe(b, a, p);
       if (rep == 0) noisy_few.observe(b, a, p);
     }
@@ -97,15 +100,18 @@ TEST(CommParamLearner, InverseVarianceBeatsMeanUnderHeteroscedasticNoise) {
   // by its log-normal error; inverse-variance weighting must land
   // closer to the truth than plain averaging, consistently.
   const double truth = 0.2;
-  Rng rng(9);
+  const std::uint64_t seed = mix64(9);
+  std::uint64_t draw = 0;
   double ivw_err = 0.0, mean_err = 0.0;
   const int repetitions = 40;
   for (int rep = 0; rep < repetitions; ++rep) {
     CommParamLearner ivw(2, CombineMode::kInverseVariance);
     CommParamLearner avg(2, CombineMode::kMean);
     for (int epoch = 0; epoch < 30; ++epoch) {
-      const double clean = truth * rng.lognormal_jitter(0.01);
-      const double noisy = truth * rng.lognormal_jitter(0.5);
+      const double clean =
+          truth * lognormal_jitter(0.01, hash_combine(seed, draw++));
+      const double noisy =
+          truth * lognormal_jitter(0.5, hash_combine(seed, draw++));
       ivw.observe(0, clean, clean, clean);
       ivw.observe(1, noisy, noisy, noisy);
       avg.observe(0, clean, clean, clean);
