@@ -45,6 +45,8 @@ normalize() {
               s/re-join [0-9.]+s$/re-join <measured>s/' ;;
     disc_fleet)
       sed -E '/^measured_/s/(p[0-9]+) [0-9.]+/\1 <measured>/g' ;;
+    table6_overhead)
+      sed -E 's#[0-9.]+ us/(epoch|solve) measured#<measured> us/\1 measured#g' ;;
     disc_scaling)
       # Table rows: plan seconds (cols 2-3), events/sec (6) and peak
       # RSS (8) are measured; ranks, algorithm, event counts and

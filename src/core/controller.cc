@@ -81,20 +81,38 @@ void spread_probes(std::vector<int>& next, const std::vector<int>& prev,
 // model of it could never be corrected. Each such node that has not yet
 // been observed at one sample gets one, from the largest local batch:
 // the reading at that new size grounds the fit near zero, and if the
-// refit still plans the node at zero, the zero stands.
-void reprobe_starved(std::vector<int>& batches,
+// refit still plans the node at zero, the zero stands. Returns whether
+// any sample moved.
+bool reprobe_starved(std::vector<int>& batches,
                      const std::vector<double>& caps,
                      const ClusterPerfModel& model) {
+  bool moved = false;
   for (std::size_t i = 0; i < batches.size(); ++i) {
     if (batches[i] > 0 || caps[i] < 1.0) continue;
     if (model.node_learner(static_cast<int>(i)).smallest_batch() == 1) {
       continue;
     }
     const auto largest = std::max_element(batches.begin(), batches.end());
-    if (*largest < 2) return;
+    if (*largest < 2) break;
     --*largest;
     batches[i] = 1;
+    moved = true;
   }
+  return moved;
+}
+
+// Predicted optimizer-step time of the split `batches` as run: `steps`
+// - 1 compute-only micro-batches plus one synchronized Eq. (7) batch,
+// the cost model of OptPerfSolver::solve_accumulated.
+double predicted_step_time(const OptPerfSolver& solver,
+                           const std::vector<int>& batches, int steps) {
+  const std::vector<double> split(batches.begin(), batches.end());
+  double compute = 0.0;
+  for (std::size_t i = 0; i < split.size(); ++i) {
+    compute = std::max(compute, solver.models()[i].compute(split[i]));
+  }
+  return (steps - 1) * compute +
+         predicted_batch_time(solver.models(), solver.comm(), split);
 }
 
 }  // namespace
@@ -292,8 +310,12 @@ EpochPlan CannikinController::model_plan() {
     cache_valid_ = true;
     plan.total_batch = fixed_total;
     plan.local_batches = result.local_batches_int;
-    reprobe_starved(plan.local_batches, max_local_batches_, perf_model_);
-    plan.predicted_batch_time = result.batch_time;
+    // A re-probe runs a split OptPerf did not choose; predict that one,
+    // so the observed-vs-predicted error measures the model.
+    plan.predicted_batch_time =
+        reprobe_starved(plan.local_batches, max_local_batches_, perf_model_)
+            ? predicted_step_time(solver, plan.local_batches, 1)
+            : result.batch_time;
     plan.linear_solves = solves;
     return plan;
   }
@@ -361,7 +383,10 @@ EpochPlan CannikinController::model_plan() {
 
   plan.accumulation_steps = solved.steps;
   plan.local_batches = std::move(solved.micro_batches);
-  reprobe_starved(plan.local_batches, max_local_batches_, perf_model_);
+  plan.predicted_batch_time =
+      reprobe_starved(plan.local_batches, max_local_batches_, perf_model_)
+          ? predicted_step_time(solver, plan.local_batches, solved.steps)
+          : solved.step_time;
   // With accumulation, the trained batch per optimizer step is the
   // micro-batch sum times the step count; rounding of the micro batch
   // can shift it a few samples from the nominal candidate, and progress
@@ -369,7 +394,6 @@ EpochPlan CannikinController::model_plan() {
   int micro_sum = 0;
   for (int b : plan.local_batches) micro_sum += b;
   plan.total_batch = micro_sum * plan.accumulation_steps;
-  plan.predicted_batch_time = solved.step_time;
   plan.linear_solves = solves;
   return plan;
 }

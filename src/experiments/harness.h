@@ -58,7 +58,8 @@ struct RunTrace {
 };
 
 /// Modeled wall clock of one OptPerf equation solve, charged to the
-/// simulated clock per solve a plan reports. Calibrated on Cannikin's
+/// simulated clock per solve a plan reports (by run_to_target and by
+/// sched::ElasticCannikinJob). Calibrated on Cannikin's
 /// measured planning time: 0.9-11 us per solve (median ~5) over the
 /// Table 5 workloads on clusters A/B/C (x86-64, RelWithDebInfo).
 inline constexpr double kPlanningSecondsPerSolve = 5e-6;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "experiments/harness.h"
 #include "sched/checkpoint.h"
 
 namespace cannikin::sched {
@@ -164,9 +165,10 @@ double ElasticCannikinJob::run_epoch() {
   progress_ += static_cast<double>(workload_->dataset_size) * efficiency;
   ++epochs_;
 
+  // Planning is charged by the harness's per-solve model, not by the
+  // measured wall clock, so virtual timings replay bit-identically.
   const double config_overhead =
-      (modeled_planning_seconds_ >= 0.0 ? modeled_planning_seconds_
-                                        : plan.planning_seconds) +
+      plan.linear_solves * experiments::kPlanningSecondsPerSolve +
       20e-9 * static_cast<double>(workload_->dataset_size) +
       5e-3 * job_->size();
   const double recovery_overhead = pending_recovery_overhead_;

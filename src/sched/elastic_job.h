@@ -65,15 +65,6 @@ class ElasticCannikinJob {
   /// models (no bootstrap needed) -- observability for tests/benches.
   int warm_reallocations() const { return warm_reallocations_; }
 
-  /// Each epoch's configuration overhead charges a fixed modeled
-  /// planning cost (default 1 ms, as FleetOptions), so virtual timings
-  /// replay bit-identically. A negative value charges the measured
-  /// wall-clock planning time instead, which makes them
-  /// nondeterministic at the microsecond scale.
-  void set_modeled_planning_seconds(double seconds) {
-    modeled_planning_seconds_ = seconds;
-  }
-
   /// Failure-driven recovery: applies one fault event to the live job.
   ///  - node crash: banks the survivors' learned models, shrinks the
   ///    allocation to the remaining nodes and warm-starts the
@@ -171,7 +162,6 @@ class ElasticCannikinJob {
   std::unique_ptr<experiments::CannikinSystem> system_;
 
   ModelBank bank_;
-  double modeled_planning_seconds_ = 1e-3;  ///< < 0: charge measured
   double progress_ = 0.0;
   int epochs_ = 0;
   int warm_reallocations_ = 0;

@@ -271,7 +271,6 @@ void FleetSim::start_job(JobId id, const std::vector<int>& nodes) {
       (std::filesystem::path(checkpoint_root_) / ("job_" + std::to_string(id)))
           .string();
   sup_options.checkpoint_every_epochs = options_.checkpoint_every_epochs;
-  sup_options.modeled_planning_seconds = options_.modeled_planning_seconds;
   job.supervisor = std::make_unique<TrainingSupervisor>(
       job.spec.workload, cluster_, options_.noise,
       options_.seed + 977 * static_cast<std::uint64_t>(id),

@@ -82,11 +82,6 @@ struct FleetOptions {
   /// virtual-time metrics stay deterministic; calibrate from the
   /// measured_* wall-clock metrics of prior runs.
   double preemption_cost_seconds = 30.0;
-  /// Modeled per-epoch planning cost charged in place of the measured
-  /// planning wall clock (which would make virtual timings
-  /// nondeterministic at the microsecond scale). Negative restores the
-  /// measured legacy behavior -- and forfeits replay determinism.
-  double modeled_planning_seconds = 1e-3;
   /// Observability scope for the fleet.* metrics listed above;
   /// disabled by default.
   obs::Scope obs;

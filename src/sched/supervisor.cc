@@ -45,7 +45,6 @@ void TrainingSupervisor::start(const std::vector<int>& allocation) {
   }
   job_ = std::make_unique<ElasticCannikinJob>(workload_, full_cluster_, noise_,
                                               seed_, use_model_bank_);
-  job_->set_modeled_planning_seconds(options_.modeled_planning_seconds);
   job_->set_allocation(allocation);
   if (obs_.tracing()) obs_.thread_name("supervisor");
   // Epoch-0 checkpoint: a crash in the very first epoch still has
@@ -149,7 +148,6 @@ double TrainingSupervisor::resume(const std::vector<int>& allocation) {
   auto job = std::make_unique<ElasticCannikinJob>(workload_, full_cluster_,
                                                   noise_, seed_,
                                                   use_model_bank_);
-  job->set_modeled_planning_seconds(options_.modeled_planning_seconds);
   job->restore_to_allocation(*ckpt, allocation);
   const double elapsed = seconds_since(t0);
   span.close();
@@ -206,8 +204,7 @@ bool TrainingSupervisor::handle_crash(const sim::FaultEvent& event, int epoch,
       }
       auto job = std::make_unique<ElasticCannikinJob>(
           workload_, full_cluster_, noise_, seed_, use_model_bank_);
-      job->set_modeled_planning_seconds(options_.modeled_planning_seconds);
-      job->restore_from_checkpoint(*ckpt, dead_nodes_);
+          job->restore_from_checkpoint(*ckpt, dead_nodes_);
       const double restore_seconds = seconds_since(t0);
 
       ++stats_.restores;

@@ -59,10 +59,6 @@ struct SupervisorOptions {
   int max_restore_attempts = 3;
   double backoff_initial_seconds = 0.5;
   double backoff_multiplier = 2.0;
-  /// Forwarded to ElasticCannikinJob::set_modeled_planning_seconds on
-  /// every job the supervisor constructs (start, crash restore,
-  /// preemption resume). Negative charges measured planning time.
-  double modeled_planning_seconds = 1e-3;
   /// Observability scope. The supervisor rebinds it to its own timeline
   /// row (obs::kSupervisorTid) and emits fault / checkpoint_write /
   /// restore / rejoin instants plus sched.* metrics.

@@ -257,6 +257,12 @@ TEST(Controller, NodePlannedAtZeroIsReprobedAndRecovers) {
   EXPECT_EQ(reprobe.local_batches[0] + reprobe.local_batches[1] +
                 reprobe.local_batches[2],
             128);
+  // Its prediction is for the split that runs, not for OptPerf's.
+  const std::vector<double> executed(reprobe.local_batches.begin(),
+                                     reprobe.local_batches.end());
+  EXPECT_DOUBLE_EQ(reprobe.predicted_batch_time,
+                   predicted_batch_time(*flat, degenerate.comm(), executed));
+  EXPECT_NE(reprobe.predicted_batch_time, degenerate.solve(128).batch_time);
   // The re-probe's reading identifies node 1's slope; the next plan
   // gives it (close to) its optimal share.
   feed_truth(controller, reprobe.local_batches);
