@@ -2,8 +2,9 @@
 // of resources", Section 1 -- the hostile half of the claim).
 //
 // Three fault scenarios run end-to-end against an ElasticCannikinJob on
-// cluster B, each emitting a recovery-time trace (per-epoch effective
-// throughput, i.e. progress per wall-clock second):
+// cluster B under a TrainingSupervisor with the in-process crash policy
+// (CrashPolicy::kDiscardEpoch), each emitting a recovery-time trace
+// (per-epoch effective throughput, i.e. progress per simulated second):
 //
 //  1. node crash    -- the elastic job banks the learned models,
 //                      shrinks to the survivors and warm-starts the
@@ -14,13 +15,13 @@
 //                      detection must re-learn twice without a restart.
 //  3. network degrade -- interconnect bandwidth drops and recovers.
 //
-// Two supervised scenarios run the same crash under a
-// TrainingSupervisor, where the crash kills the whole process:
+// Two scenarios run the same crash under the checkpoint-restore
+// policy, where the crash kills the whole process:
 //
 //  4. checkpoint-restore vs discard-epoch -- the supervisor restores
 //     from the latest on-disk checkpoint (measured, not modeled,
-//     write/restore cost) vs the PR-1 in-process recovery that keeps
-//     state but models the restart constant.
+//     write/restore cost) vs the in-process recovery that keeps state
+//     but models the restart constant.
 //  5. shrink-only vs re-join -- after the crash, one run stays on the
 //     survivors while the other gets the node back via kNodeRecover
 //     (allocation grows, warm start from banked models: zero
@@ -29,7 +30,6 @@
 
 
 #include "common/temp_dir.h"
-#include "sched/elastic_job.h"
 #include "sched/fault_recovery.h"
 #include "sched/supervisor.h"
 #include "sim/faults.h"
@@ -68,34 +68,29 @@ void print_metrics(const std::vector<sched::RecoveryMetric>& metrics) {
   }
 }
 
-sched::FaultRecoveryTrace run_scenario(const sim::FaultInjector& injector,
-                                       bool use_model_bank) {
-  const auto& workload = workloads::by_name("cifar10");
-  sched::ElasticCannikinJob job(&workload, sim::cluster_b(),
-                                sim::NoiseConfig{}, 3, use_model_bank);
-  job.set_allocation({0, 4, 8, 9});
-  return sched::run_with_faults(job, injector, kMaxEpochs);
-}
-
 // Supervised run in a private throwaway checkpoint directory (so
 // concurrent runs never share one); the trace carries the measured
-// checkpoint-write/restore seconds.
+// checkpoint-write/restore seconds. Scenarios 1-3 run the in-process
+// recovery (kDiscardEpoch, no cadence checkpoints), which touches the
+// store only for the epoch-0 checkpoint.
 sched::FaultRecoveryTrace run_supervised(const sim::FaultInjector& injector,
                                          sched::CrashPolicy policy,
                                          const std::string& subdir,
+                                         obs::Scope obs = {},
                                          std::size_t* final_nodes = nullptr,
-                                         obs::Scope obs = {}) {
+                                         int checkpoint_every_epochs = 2,
+                                         bool use_model_bank = true) {
   const TempDir dir("cannikin-bench-ckpt-" + subdir);
 
   sched::SupervisorOptions options;
   options.checkpoint_dir = dir.str();
-  options.checkpoint_every_epochs = 2;
+  options.checkpoint_every_epochs = checkpoint_every_epochs;
   options.crash_policy = policy;
   options.obs = obs;
   const auto& workload = workloads::by_name("cifar10");
   sched::TrainingSupervisor supervisor(&workload, sim::cluster_b(),
                                        sim::NoiseConfig{}, 3,
-                                       std::move(options));
+                                       std::move(options), use_model_bank);
   supervisor.start({0, 4, 8, 9});
   auto trace = supervisor.run(injector, kMaxEpochs);
   if (final_nodes != nullptr) {
@@ -103,6 +98,15 @@ sched::FaultRecoveryTrace run_supervised(const sim::FaultInjector& injector,
         supervisor.has_job() ? supervisor.job().allocation().size() : 0;
   }
   return trace;
+}
+
+// The in-process scenarios 1-3.
+sched::FaultRecoveryTrace run_scenario(const sim::FaultInjector& injector,
+                                       const std::string& subdir,
+                                       bool use_model_bank = true) {
+  return run_supervised(injector, sched::CrashPolicy::kDiscardEpoch, subdir,
+                        {}, nullptr, /*checkpoint_every_epochs=*/0,
+                        use_model_bank);
 }
 
 }  // namespace
@@ -119,7 +123,7 @@ int main() {
   sim::FaultInjector crash;
   crash.schedule({/*epoch=*/6, sim::FaultKind::kNodeCrash, /*node=*/4});
 
-  const auto warm_trace = run_scenario(crash, /*use_model_bank=*/true);
+  const auto warm_trace = run_scenario(crash, "warm");
   std::printf("\n-- scenario: node crash (warm start from model bank) --\n");
   print_trace(warm_trace);
   const auto warm_metrics = sched::recovery_metrics(warm_trace);
@@ -129,7 +133,8 @@ int main() {
       warm_trace.crash_recoveries, warm_trace.warm_crash_recoveries,
       warm_trace.recovery_overhead_seconds);
 
-  const auto cold_trace = run_scenario(crash, /*use_model_bank=*/false);
+  const auto cold_trace =
+      run_scenario(crash, "cold", /*use_model_bank=*/false);
   std::printf("\nwarm time-to-target %.1fs vs cold restart %.1fs\n",
               warm_trace.total_seconds, cold_trace.total_seconds);
 
@@ -149,7 +154,7 @@ int main() {
   straggler.schedule({/*epoch=*/5, sim::FaultKind::kTransientStraggler,
                       /*node=*/0, /*severity=*/0.5, /*duration_epochs=*/6});
 
-  const auto straggler_trace = run_scenario(straggler, true);
+  const auto straggler_trace = run_scenario(straggler, "straggler");
   std::printf("\n-- scenario: transient straggler (node 0, 6 epochs) --\n");
   print_trace(straggler_trace);
   print_metrics(sched::recovery_metrics(straggler_trace));
@@ -167,7 +172,7 @@ int main() {
   network.schedule({/*epoch=*/5, sim::FaultKind::kNetworkDegrade, /*node=*/-1,
                     /*severity=*/0.25, /*duration_epochs=*/5});
 
-  const auto network_trace = run_scenario(network, true);
+  const auto network_trace = run_scenario(network, "network");
   std::printf("\n-- scenario: network degrade (bandwidth x0.25, 5 epochs) --\n");
   print_trace(network_trace);
   print_metrics(sched::recovery_metrics(network_trace));
@@ -182,39 +187,42 @@ int main() {
 
   const auto ckpt_trace =
       run_supervised(supervised_crash, sched::CrashPolicy::kCheckpointRestore,
-                     "restore", nullptr, report.scope());
+                     "restore", report.scope());
   std::printf(
       "\n-- scenario: supervised crash, checkpoint-restore policy --\n");
   print_trace(ckpt_trace);
   std::printf(
       "checkpoints written: %d (%.4fs measured), restores: %d "
       "(%.4fs measured), epochs lost to rollback: %d\n",
-      ckpt_trace.checkpoints_written, ckpt_trace.checkpoint_write_seconds,
-      ckpt_trace.restores, ckpt_trace.restore_seconds,
-      ckpt_trace.epochs_lost_to_rollback);
+      ckpt_trace.stats.checkpoints_written,
+      ckpt_trace.stats.checkpoint_write_seconds, ckpt_trace.stats.restores,
+      ckpt_trace.stats.restore_seconds,
+      ckpt_trace.stats.epochs_lost_to_rollback);
 
   const auto discard_trace =
       run_supervised(supervised_crash, sched::CrashPolicy::kDiscardEpoch,
-                     "discard", nullptr, report.scope());
+                     "discard", report.scope());
   std::printf(
       "checkpointed restart %.1fs total (measured overhead %.4fs) vs "
       "discard-epoch %.1fs total (modeled overhead %.2fs)\n",
       ckpt_trace.total_seconds,
-      ckpt_trace.checkpoint_write_seconds + ckpt_trace.restore_seconds,
+      ckpt_trace.stats.checkpoint_write_seconds +
+          ckpt_trace.stats.restore_seconds,
       discard_trace.total_seconds, discard_trace.recovery_overhead_seconds);
 
-  shape_check(ckpt_trace.reached_target && ckpt_trace.restores == 1 &&
-                  ckpt_trace.restore_attempts == 1,
+  shape_check(ckpt_trace.reached_target && ckpt_trace.stats.restores == 1 &&
+                  ckpt_trace.stats.restore_attempts == 1,
               "the supervisor restores from the latest checkpoint on the "
               "first attempt and still reaches the target");
-  shape_check(ckpt_trace.restore_seconds > 0.0 &&
-                  ckpt_trace.checkpoint_write_seconds > 0.0,
+  shape_check(ckpt_trace.stats.restore_seconds > 0.0 &&
+                  ckpt_trace.stats.checkpoint_write_seconds > 0.0,
               "restart overhead is measured wall clock, not a modeled "
               "constant");
-  shape_check(ckpt_trace.epochs_lost_to_rollback > 0,
+  shape_check(ckpt_trace.stats.epochs_lost_to_rollback > 0,
               "state since the last checkpoint is genuinely lost (rollback)");
-  shape_check(discard_trace.reached_target && discard_trace.restores == 0,
-              "discard-epoch policy recovers in process, no restore");
+  shape_check(
+      discard_trace.reached_target && discard_trace.stats.restores == 0,
+      "discard-epoch policy recovers in process, no restore");
 
   // ----------------------------- 5. shrink-only vs elastic re-join
   sim::FaultInjector crash_rejoin;
@@ -225,7 +233,7 @@ int main() {
   std::size_t rejoin_nodes = 0;
   const auto rejoin_trace =
       run_supervised(crash_rejoin, sched::CrashPolicy::kCheckpointRestore,
-                     "rejoin", &rejoin_nodes, report.scope());
+                     "rejoin", report.scope(), &rejoin_nodes);
   std::printf("\n-- scenario: crash then node re-join at epoch 13 --\n");
   print_trace(rejoin_trace);
   std::printf(
@@ -251,10 +259,12 @@ int main() {
   report.gauge("straggler.drift_resets",
                static_cast<double>(straggler_trace.drift_resets));
   report.gauge("supervised.checkpoint_write_seconds",
-               ckpt_trace.checkpoint_write_seconds);
-  report.gauge("supervised.restore_seconds", ckpt_trace.restore_seconds);
+               ckpt_trace.stats.checkpoint_write_seconds);
+  report.gauge("supervised.restore_seconds",
+               ckpt_trace.stats.restore_seconds);
   report.gauge("supervised.epochs_lost_to_rollback",
-               static_cast<double>(ckpt_trace.epochs_lost_to_rollback));
+               static_cast<double>(
+                   ckpt_trace.stats.epochs_lost_to_rollback));
   report.gauge("supervised.restore_total_seconds", ckpt_trace.total_seconds);
   report.gauge("supervised.discard_total_seconds",
                discard_trace.total_seconds);

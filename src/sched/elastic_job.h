@@ -50,8 +50,10 @@ class ElasticCannikinJob {
   bool has_allocation() const { return system_ != nullptr; }
   const std::vector<int>& allocation() const { return allocation_; }
 
-  /// Runs one training epoch; returns its wall-clock seconds (training
-  /// + reconfiguration overhead). Requires an allocation.
+  /// Runs one training epoch -- the harness's experiments::run_epoch_step
+  /// on the live allocation -- and returns its simulated seconds
+  /// (training + modeled overhead + any pending recovery cost).
+  /// Requires an allocation.
   double run_epoch();
 
   double progress_fraction() const;

@@ -1,61 +1,8 @@
 #include "sched/fault_recovery.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace cannikin::sched {
-
-FaultRecoveryTrace run_with_faults(ElasticCannikinJob& job,
-                                   const sim::FaultInjector& injector,
-                                   int max_epochs) {
-  if (!job.has_allocation()) {
-    throw std::logic_error("run_with_faults: job has no allocation");
-  }
-  FaultRecoveryTrace trace;
-  const double target = job.workload().target_progress();
-
-  for (int epoch = 0; epoch < max_epochs; ++epoch) {
-    std::string events;
-    for (const auto& event : injector.due(epoch)) {
-      job.apply_fault(event);
-      if (!events.empty()) events += "; ";
-      events += event.describe();
-    }
-
-    const double progress_before = job.progress_fraction();
-    const double epoch_seconds = job.run_epoch();
-
-    FaultEpochRow row;
-    row.epoch = epoch;
-    row.num_nodes = static_cast<int>(job.allocation().size());
-    row.epoch_seconds = epoch_seconds;
-    row.progress = job.progress_fraction();
-    row.throughput = epoch_seconds > 0.0
-                         ? (row.progress - progress_before) * target /
-                               epoch_seconds
-                         : 0.0;
-    row.events = std::move(events);
-    trace.total_seconds += epoch_seconds;
-    trace.rows.push_back(std::move(row));
-
-    if (job.done()) {
-      trace.reached_target = true;
-      break;
-    }
-  }
-
-  trace.recoveries = job.recoveries();
-  trace.crash_recoveries = job.crash_recoveries();
-  for (const auto& report : trace.recoveries) {
-    if (report.event.kind == sim::FaultKind::kNodeCrash && report.warm) {
-      ++trace.warm_crash_recoveries;
-    }
-  }
-  trace.drift_resets = job.drift_resets();
-  trace.recovery_overhead_seconds = job.recovery_overhead_seconds();
-  trace.partition_shrinks = job.partition_shrinks();
-  return trace;
-}
 
 std::vector<RecoveryMetric> recovery_metrics(const FaultRecoveryTrace& trace,
                                              double threshold, int horizon) {

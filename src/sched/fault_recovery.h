@@ -1,20 +1,20 @@
-// Fault-recovery harness: drives an ElasticCannikinJob against a
-// FaultInjector schedule and records the recovery-time trace the
-// disc_fault_recovery bench and the robustness tests analyze.
+// Recovery trace of a supervised fault run and its analysis.
 //
-// Per epoch it applies every due fault event (crashes shrink the
-// allocation and warm-start the survivors; stragglers and network
-// degradation mutate the live cluster and leave recovery to drift
-// detection), runs the epoch, and records effective throughput --
-// progress per wall-clock second, the quantity whose dip-and-rebound
-// shape is the observable cost of a fault.
+// sched::TrainingSupervisor::run drives an ElasticCannikinJob against a
+// FaultInjector schedule and records this trace: per epoch it applies
+// every due fault event (crashes shrink the allocation or restore from a
+// checkpoint; stragglers and network degradation mutate the live cluster
+// and leave recovery to drift detection), runs the epoch, and records
+// effective throughput -- progress per simulated second, the quantity
+// whose dip-and-rebound shape is the observable cost of a fault.
+// recovery_metrics() reduces each fault onset to that shape.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "sched/elastic_job.h"
-#include "sim/faults.h"
 
 namespace cannikin::sched {
 
@@ -27,35 +27,54 @@ struct FaultEpochRow {
   std::string events;       ///< fault events applied before this epoch
 };
 
-struct FaultRecoveryTrace {
-  std::vector<FaultEpochRow> rows;
-  std::vector<RecoveryReport> recoveries;
-  double total_seconds = 0.0;
-  bool reached_target = false;
-  int crash_recoveries = 0;
-  int warm_crash_recoveries = 0;  ///< crashes recovered via banked models
-  int drift_resets = 0;
-  double recovery_overhead_seconds = 0.0;
+enum class SupervisorOutcome {
+  kReachedTarget,
+  kEpochBudgetExhausted,
+  kGaveUp,
+};
 
-  // -- populated only by the TrainingSupervisor overload ------------
+/// Cumulative supervision counters of one TrainingSupervisor.
+struct SupervisorStats {
+  SupervisorOutcome outcome = SupervisorOutcome::kEpochBudgetExhausted;
   int checkpoints_written = 0;
+  std::uint64_t checkpoint_bytes = 0;  ///< serialized bytes written
   int restores = 0;          ///< successful checkpoint restores
   int restore_attempts = 0;  ///< attempts including failures
   int epochs_lost_to_rollback = 0;
-  int node_rejoins = 0;
-  int warm_rejoins = 0;  ///< re-joins warm-started from banked models
-  int partition_shrinks = 0;  ///< quorum exclusions handled elastically
   int checkpoint_corruptions = 0;  ///< kCheckpointCorrupt events injected
   double checkpoint_write_seconds = 0.0;  ///< measured wall clock
   double restore_seconds = 0.0;           ///< measured wall clock
-  double backoff_seconds = 0.0;           ///< charged retry waits
-  bool gave_up = false;  ///< restore retry budget exhausted
+  double backoff_seconds = 0.0;  ///< policy waits charged to the trace
+  std::string give_up_reason;
 
-  // Scheduler-initiated preemptions (RecoveryReport::preemption set in
-  // `recoveries`); deliberately excluded from fault-onset analysis.
+  // -- scheduler-initiated preemption (not faults) -------------------
   int preemptions = 0;
-  double preemption_restore_seconds = 0.0;  ///< measured wall clock
+  /// Measured wall-clock cost of preemption resumes (restore path).
+  double preemption_restore_seconds = 0.0;
+  /// Committed epochs rolled back because a preemption struck after
+  /// the last durable checkpoint.
   int epochs_lost_to_preemption = 0;
+};
+
+struct FaultRecoveryTrace {
+  std::vector<FaultEpochRow> rows;
+  /// Handled fault events, plus the supervisor's preemptions
+  /// (RecoveryReport::preemption set), which recovery_metrics() skips.
+  std::vector<RecoveryReport> recoveries;
+  double total_seconds = 0.0;
+  bool reached_target = false;
+  /// The supervisor's counters when the run ended.
+  SupervisorStats stats;
+
+  // -- derived from the live job and the recoveries ------------------
+  int crash_recoveries = 0;  ///< in-process shrinks + checkpoint restores
+  int warm_crash_recoveries = 0;  ///< crashes recovered via banked models
+  int drift_resets = 0;
+  int node_rejoins = 0;
+  int warm_rejoins = 0;  ///< re-joins warm-started from banked models
+  int partition_shrinks = 0;  ///< quorum exclusions handled elastically
+  /// Modeled in-process recovery cost + measured restore + backoff.
+  double recovery_overhead_seconds = 0.0;
 };
 
 /// Per-fault recovery summary extracted from a trace.
@@ -68,24 +87,6 @@ struct RecoveryMetric {
   int epochs_to_recover = -1;      ///< epochs until back at steady state
   bool recovered = false;
 };
-
-class TrainingSupervisor;
-
-/// Runs `job` for up to `max_epochs` (or until done), applying
-/// `injector`'s schedule. The job must already have an allocation.
-FaultRecoveryTrace run_with_faults(ElasticCannikinJob& job,
-                                   const sim::FaultInjector& injector,
-                                   int max_epochs);
-
-/// Supervised variant (defined in supervisor.cc): crashes kill the job
-/// and are recovered by restoring from the latest checkpoint with
-/// bounded, backed-off retries; kNodeRecover events re-admit dead
-/// nodes. Measured checkpoint/restore/backoff costs are charged into
-/// the trace's epoch timings, so the throughput dips reflect real
-/// restart overhead. The supervisor must have been start()ed.
-FaultRecoveryTrace run_with_faults(TrainingSupervisor& supervisor,
-                                   const sim::FaultInjector& injector,
-                                   int max_epochs);
 
 /// For each fault onset (severity < 1 or crash) finds the throughput
 /// dip and the number of epochs until throughput first reaches

@@ -204,7 +204,7 @@ bool TrainingSupervisor::handle_crash(const sim::FaultEvent& event, int epoch,
       }
       auto job = std::make_unique<ElasticCannikinJob>(
           workload_, full_cluster_, noise_, seed_, use_model_bank_);
-          job->restore_from_checkpoint(*ckpt, dead_nodes_);
+      job->restore_from_checkpoint(*ckpt, dead_nodes_);
       const double restore_seconds = seconds_since(t0);
 
       ++stats_.restores;
@@ -262,21 +262,14 @@ bool TrainingSupervisor::handle_crash(const sim::FaultEvent& event, int epoch,
 
 FaultRecoveryTrace TrainingSupervisor::run(const sim::FaultInjector& injector,
                                            int max_epochs) {
-  return run_with_faults(*this, injector, max_epochs);
-}
-
-FaultRecoveryTrace run_with_faults(TrainingSupervisor& supervisor,
-                                   const sim::FaultInjector& injector,
-                                   int max_epochs) {
-  if (!supervisor.has_job()) {
-    throw std::logic_error("run_with_faults: supervisor not started");
+  if (!has_job()) {
+    throw std::logic_error("TrainingSupervisor::run: not started");
   }
-  const SupervisorOptions& options = supervisor.options_;
   FaultRecoveryTrace trace;
-  const double target = supervisor.job().workload().target_progress();
+  const double target = job().workload().target_progress();
   // In-process recoveries already recorded before this run are not
   // re-reported; only events from this run land in the trace.
-  std::size_t report_watermark = supervisor.job().recoveries().size();
+  std::size_t report_watermark = job().recoveries().size();
   bool gave_up = false;
 
   for (int epoch = 0; epoch < max_epochs && !gave_up; ++epoch) {
@@ -286,25 +279,24 @@ FaultRecoveryTrace run_with_faults(TrainingSupervisor& supervisor,
       if (!events.empty()) events += "; ";
       events += event.describe();
 
-      const obs::Scope& obs = supervisor.obs_;
-      if (obs.tracing()) {
-        obs.instant("sched",
-                    event.kind == sim::FaultKind::kNodeRecover ? "rejoin"
-                                                               : "fault",
-                    obs::ArgList()
-                        .add("epoch", epoch)
-                        .add("node", event.node)
-                        .add("kind", sim::fault_kind_name(event.kind)));
+      if (obs_.tracing()) {
+        obs_.instant("sched",
+                     event.kind == sim::FaultKind::kNodeRecover ? "rejoin"
+                                                                : "fault",
+                     obs::ArgList()
+                         .add("epoch", epoch)
+                         .add("node", event.node)
+                         .add("kind", sim::fault_kind_name(event.kind)));
       }
-      if (obs.metrics() != nullptr) {
-        obs.counter_add(event.kind == sim::FaultKind::kNodeRecover
-                            ? "sched.rejoins"
-                            : "sched.faults",
-                        1.0);
+      if (obs_.metrics() != nullptr) {
+        obs_.counter_add(event.kind == sim::FaultKind::kNodeRecover
+                             ? "sched.rejoins"
+                             : "sched.faults",
+                         1.0);
         if (event.kind == sim::FaultKind::kNetworkPartition) {
-          obs.counter_add(event.severity >= 1.0 ? "sched.partition_heals"
-                                                : "sched.partition_shrinks",
-                          1.0);
+          obs_.counter_add(event.severity >= 1.0 ? "sched.partition_heals"
+                                                 : "sched.partition_shrinks",
+                           1.0);
         }
       }
 
@@ -312,45 +304,43 @@ FaultRecoveryTrace run_with_faults(TrainingSupervisor& supervisor,
         // Storage rot: damage the newest checkpoint on disk. The next
         // restore exercises the CRC-skip path (load_latest falls back
         // to the previous good file and counts the skip).
-        const std::string damaged = supervisor.store().flip_bit_in_latest(
+        const std::string damaged = store_.flip_bit_in_latest(
             static_cast<std::uint64_t>(epoch) * 131 + 17);
-        ++supervisor.stats_.checkpoint_corruptions;
-        if (obs.tracing()) {
-          obs.instant("sched", "checkpoint_corrupt",
-                      obs::ArgList().add("epoch", epoch).add(
-                          "path", damaged.empty() ? "<none>" : damaged));
+        ++stats_.checkpoint_corruptions;
+        if (obs_.tracing()) {
+          obs_.instant("sched", "checkpoint_corrupt",
+                       obs::ArgList().add("epoch", epoch).add(
+                           "path", damaged.empty() ? "<none>" : damaged));
         }
-        if (obs.metrics() != nullptr) {
-          obs.counter_add("sched.checkpoint.corrupted", 1.0);
+        if (obs_.metrics() != nullptr) {
+          obs_.counter_add("sched.checkpoint.corrupted", 1.0);
         }
         continue;
       }
       if (event.kind == sim::FaultKind::kNodeCrash &&
-          options.crash_policy == CrashPolicy::kCheckpointRestore) {
-        if (!supervisor.handle_crash(event, epoch, &trace, &charged_seconds)) {
+          options_.crash_policy == CrashPolicy::kCheckpointRestore) {
+        if (!handle_crash(event, epoch, &trace, &charged_seconds)) {
           gave_up = true;
           break;
         }
-        report_watermark = supervisor.job().recoveries().size();
+        report_watermark = job().recoveries().size();
         continue;
       }
       if (event.kind == sim::FaultKind::kNodeCrash) {
-        // kDiscardEpoch: the job survives in process (PR 1 semantics),
-        // but the node is still down until a kNodeRecover event.
-        if (std::find(supervisor.dead_nodes_.begin(),
-                      supervisor.dead_nodes_.end(),
-                      event.node) == supervisor.dead_nodes_.end()) {
-          supervisor.dead_nodes_.push_back(event.node);
+        // kDiscardEpoch: the job survives in process, but the node is
+        // still down until a kNodeRecover event.
+        if (std::find(dead_nodes_.begin(), dead_nodes_.end(), event.node) ==
+            dead_nodes_.end()) {
+          dead_nodes_.push_back(event.node);
         }
       } else if (event.kind == sim::FaultKind::kNodeRecover) {
-        supervisor.dead_nodes_.erase(
-            std::remove(supervisor.dead_nodes_.begin(),
-                        supervisor.dead_nodes_.end(), event.node),
-            supervisor.dead_nodes_.end());
+        dead_nodes_.erase(
+            std::remove(dead_nodes_.begin(), dead_nodes_.end(), event.node),
+            dead_nodes_.end());
       }
-      supervisor.job().apply_fault(event);
+      job().apply_fault(event);
       // Copy the report the in-process fault path just produced.
-      const auto& job_reports = supervisor.job().recoveries();
+      const auto& job_reports = job().recoveries();
       for (std::size_t i = report_watermark; i < job_reports.size(); ++i) {
         trace.recoveries.push_back(job_reports[i]);
       }
@@ -368,17 +358,17 @@ FaultRecoveryTrace run_with_faults(TrainingSupervisor& supervisor,
       break;
     }
 
-    ElasticCannikinJob& job = supervisor.job();
-    const double progress_before = job.progress_fraction();
+    ElasticCannikinJob& live = job();
+    const double progress_before = live.progress_fraction();
     // Measured restore + backoff cost is billed to this epoch: the
     // throughput dip in the trace is the real restart overhead.
-    const double epoch_seconds = job.run_epoch() + charged_seconds;
+    const double epoch_seconds = live.run_epoch() + charged_seconds;
 
     FaultEpochRow row;
     row.epoch = epoch;
-    row.num_nodes = static_cast<int>(job.allocation().size());
+    row.num_nodes = static_cast<int>(live.allocation().size());
     row.epoch_seconds = epoch_seconds;
-    row.progress = job.progress_fraction();
+    row.progress = live.progress_fraction();
     row.throughput = epoch_seconds > 0.0
                          ? (row.progress - progress_before) * target /
                                epoch_seconds
@@ -387,37 +377,32 @@ FaultRecoveryTrace run_with_faults(TrainingSupervisor& supervisor,
     trace.total_seconds += epoch_seconds;
     trace.rows.push_back(std::move(row));
 
-    if (job.done()) {
+    if (live.done()) {
       trace.reached_target = true;
       break;
     }
-    ++supervisor.epochs_since_checkpoint_;
-    if (options.checkpoint_every_epochs > 0 &&
-        supervisor.epochs_since_checkpoint_ >= options.checkpoint_every_epochs) {
-      trace.total_seconds += supervisor.checkpoint_now();
-    }
+    trace.total_seconds += note_epoch_committed();
   }
 
-  SupervisorStats& stats = supervisor.stats_;
   if (trace.reached_target) {
-    stats.outcome = SupervisorOutcome::kReachedTarget;
+    stats_.outcome = SupervisorOutcome::kReachedTarget;
   } else if (!gave_up) {
-    stats.outcome = SupervisorOutcome::kEpochBudgetExhausted;
+    stats_.outcome = SupervisorOutcome::kEpochBudgetExhausted;
   }
 
-  if (supervisor.has_job()) {
-    const ElasticCannikinJob& job = supervisor.job();
-    trace.crash_recoveries = job.crash_recoveries() + stats.restores;
-    trace.drift_resets = job.drift_resets();
-    trace.recovery_overhead_seconds =
-        job.recovery_overhead_seconds() + stats.restore_seconds +
-        stats.backoff_seconds;
-    trace.node_rejoins = job.node_rejoins();
-    trace.partition_shrinks = job.partition_shrinks();
+  if (has_job()) {
+    const ElasticCannikinJob& live = job();
+    trace.crash_recoveries = live.crash_recoveries() + stats_.restores;
+    trace.drift_resets = live.drift_resets();
+    trace.recovery_overhead_seconds = live.recovery_overhead_seconds() +
+                                      stats_.restore_seconds +
+                                      stats_.backoff_seconds;
+    trace.node_rejoins = live.node_rejoins();
+    trace.partition_shrinks = live.partition_shrinks();
   } else {
-    trace.crash_recoveries = stats.restores;
+    trace.crash_recoveries = stats_.restores;
     trace.recovery_overhead_seconds =
-        stats.restore_seconds + stats.backoff_seconds;
+        stats_.restore_seconds + stats_.backoff_seconds;
   }
   for (const auto& report : trace.recoveries) {
     if (report.event.kind == sim::FaultKind::kNodeCrash && report.warm) {
@@ -427,24 +412,13 @@ FaultRecoveryTrace run_with_faults(TrainingSupervisor& supervisor,
       ++trace.warm_rejoins;
     }
   }
-  trace.checkpoint_corruptions = stats.checkpoint_corruptions;
-  trace.checkpoints_written = stats.checkpoints_written;
-  trace.restores = stats.restores;
-  trace.restore_attempts = stats.restore_attempts;
-  trace.epochs_lost_to_rollback = stats.epochs_lost_to_rollback;
-  trace.checkpoint_write_seconds = stats.checkpoint_write_seconds;
-  trace.restore_seconds = stats.restore_seconds;
-  trace.backoff_seconds = stats.backoff_seconds;
   // Scheduler-initiated preemptions (fleet runs interleaved with fault
   // runs) stay visible in the trace but are flagged so
   // recovery_metrics() does not count them as fault onsets.
-  for (const auto& report : supervisor.preemption_reports_) {
+  for (const auto& report : preemption_reports_) {
     trace.recoveries.push_back(report);
   }
-  trace.preemptions = stats.preemptions;
-  trace.preemption_restore_seconds = stats.preemption_restore_seconds;
-  trace.epochs_lost_to_preemption = stats.epochs_lost_to_preemption;
-  trace.gave_up = gave_up;
+  trace.stats = stats_;
   return trace;
 }
 

@@ -193,49 +193,4 @@ std::vector<FaultEvent> FaultInjector::due(int epoch) const {
   return out;
 }
 
-std::vector<FaultEvent> FaultInjector::apply_due(int epoch,
-                                                 ClusterJob& job) const {
-  std::vector<FaultEvent> elastic_events;
-  for (const auto& event : due(epoch)) {
-    if (event.kind == FaultKind::kNodeCrash ||
-        event.kind == FaultKind::kNodeRecover ||
-        event.kind == FaultKind::kNetworkPartition ||
-        event.kind == FaultKind::kCheckpointCorrupt) {
-      elastic_events.push_back(event);
-    } else {
-      apply(event, job);
-    }
-  }
-  return elastic_events;
-}
-
-void FaultInjector::apply(const FaultEvent& event, ClusterJob& job) {
-  switch (event.kind) {
-    case FaultKind::kTransientStraggler:
-    case FaultKind::kPermanentSlowdown:
-      job.set_contention(event.node, event.severity);
-      return;
-    case FaultKind::kNetworkDegrade:
-      job.set_network_scale(event.severity);
-      return;
-    case FaultKind::kLinkFlaky: {
-      // With bounded retry the sender transmits each message an expected
-      // 1/(1-p) times, so effective network throughput scales by (1-p).
-      // Clamp so p = 1 (every attempt dropped) degrades to a crawl
-      // instead of an invalid zero-bandwidth network.
-      const double scale = std::max(0.01, 1.0 - event.severity);
-      job.set_network_scale(scale);
-      return;
-    }
-    case FaultKind::kNodeCrash:
-    case FaultKind::kNodeRecover:
-    case FaultKind::kNetworkPartition:
-    case FaultKind::kCheckpointCorrupt:
-      throw std::logic_error(
-          "FaultInjector: crash/recover/partition/corrupt events need an "
-          "elastic runtime (ElasticCannikinJob::apply_fault or the "
-          "TrainingSupervisor)");
-  }
-}
-
 }  // namespace cannikin::sim

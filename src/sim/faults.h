@@ -4,8 +4,9 @@
 // changes of resources" (Section 1). The benign half of that claim --
 // scheduler reallocations, manual contention changes -- was already
 // exercised; this module supplies the hostile half. A FaultInjector
-// holds a seeded, replayable schedule of fault events against a
-// ClusterJob, driven per epoch by the harness, so recovery behaviour
+// holds a seeded, replayable schedule of fault events, driven per epoch
+// by sched::TrainingSupervisor::run (which hands each event to
+// sched::ElasticCannikinJob::apply_fault), so recovery behaviour
 // (drift resets, elastic shrink + warm start, throughput dips) becomes
 // measurable rather than assumed. Related simulators (Proteus; LLM
 // workload simulators) treat failure/straggler events as first-class
@@ -15,8 +16,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "sim/cluster.h"
 
 namespace cannikin::sim {
 
@@ -106,17 +105,6 @@ class FaultInjector {
 
   /// Events striking exactly at `epoch`, in schedule order.
   std::vector<FaultEvent> due(int epoch) const;
-
-  /// Applies every contention/network event due at `epoch` directly to
-  /// `job` (node ids are job-local) and returns the crash/recover
-  /// events, which only an elastic runtime can honour. This is the hook
-  /// the plain experiment harness drives.
-  std::vector<FaultEvent> apply_due(int epoch, ClusterJob& job) const;
-
-  /// Applies one non-elastic event to `job`; throws std::logic_error
-  /// for kNodeCrash/kNodeRecover, which require reallocation above the
-  /// simulator.
-  static void apply(const FaultEvent& event, ClusterJob& job);
 
   const std::vector<FaultEvent>& events() const { return events_; }
   bool empty() const { return events_.empty(); }

@@ -344,8 +344,8 @@ TEST_F(FleetPreemption, SupervisorResumeIsWarmAndCountsAsPreemption) {
   // fault onset.
   sim::FaultInjector quiet;
   const FaultRecoveryTrace trace = supervisor.run(quiet, 3);
-  EXPECT_EQ(trace.preemptions, 1);
-  EXPECT_EQ(trace.epochs_lost_to_preemption, 2);
+  EXPECT_EQ(trace.stats.preemptions, 1);
+  EXPECT_EQ(trace.stats.epochs_lost_to_preemption, 2);
   int preemption_reports = 0;
   for (const auto& report : trace.recoveries) {
     preemption_reports += report.preemption ? 1 : 0;

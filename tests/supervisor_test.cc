@@ -45,12 +45,14 @@ sched::TrainingSupervisor make_supervisor(const std::string& dir,
 // in a comparable number of epochs to the fault-free run.
 TEST(Supervisor, CrashRestoreAndWarmRejoinEndToEnd) {
   // Fault-free baseline for the convergence comparison.
-  const auto& workload = workloads::by_name("cifar10");
-  sched::ElasticCannikinJob baseline(&workload, sim::cluster_b(),
-                                     sim::NoiseConfig{}, 3);
-  baseline.set_allocation({0, 4, 8, 9});
-  const auto clean = sched::run_with_faults(baseline, sim::FaultInjector{},
-                                            kMaxEpochs);
+  TempDir baseline_dir("cannikin-supervisor-e2e-baseline");
+  sched::SupervisorOptions baseline_options;
+  baseline_options.crash_policy = sched::CrashPolicy::kDiscardEpoch;
+  baseline_options.checkpoint_every_epochs = 0;
+  sched::TrainingSupervisor baseline =
+      make_supervisor(baseline_dir.str(), baseline_options);
+  baseline.start({0, 4, 8, 9});
+  const auto clean = baseline.run(sim::FaultInjector{}, kMaxEpochs);
   ASSERT_TRUE(clean.reached_target);
 
   TempDir dir("cannikin-supervisor-e2e");
@@ -65,15 +67,15 @@ TEST(Supervisor, CrashRestoreAndWarmRejoinEndToEnd) {
 
   // Crash: one restore, first attempt, from a real checkpoint file,
   // with measured (wall-clock) cost charged into the trace.
-  EXPECT_EQ(trace.restores, 1);
-  EXPECT_EQ(trace.restore_attempts, 1);
-  EXPECT_FALSE(trace.gave_up);
-  EXPECT_GT(trace.restore_seconds, 0.0);
-  EXPECT_GT(trace.checkpoint_write_seconds, 0.0);
-  EXPECT_GE(trace.checkpoints_written, 3);
+  EXPECT_EQ(trace.stats.restores, 1);
+  EXPECT_EQ(trace.stats.restore_attempts, 1);
+  EXPECT_NE(trace.stats.outcome, sched::SupervisorOutcome::kGaveUp);
+  EXPECT_GT(trace.stats.restore_seconds, 0.0);
+  EXPECT_GT(trace.stats.checkpoint_write_seconds, 0.0);
+  EXPECT_GE(trace.stats.checkpoints_written, 3);
   // Checkpoint cadence 2 with the crash one epoch past a checkpoint:
   // exactly that epoch is lost to rollback.
-  EXPECT_EQ(trace.epochs_lost_to_rollback, 1);
+  EXPECT_EQ(trace.stats.epochs_lost_to_rollback, 1);
 
   // Re-join: allocation grows back to all 4 nodes, warm-started from
   // the banked per-type models -- zero bootstrap epochs re-paid.
@@ -111,11 +113,11 @@ TEST(Supervisor, RetriesWithBackoffThenSucceeds) {
   const auto trace = supervisor.run(faults, kMaxEpochs);
 
   EXPECT_TRUE(trace.reached_target);
-  EXPECT_FALSE(trace.gave_up);
-  EXPECT_EQ(trace.restores, 1);
-  EXPECT_EQ(trace.restore_attempts, 2);
+  EXPECT_NE(trace.stats.outcome, sched::SupervisorOutcome::kGaveUp);
+  EXPECT_EQ(trace.stats.restores, 1);
+  EXPECT_EQ(trace.stats.restore_attempts, 2);
   // One failed attempt => exactly one initial-backoff wait charged.
-  EXPECT_DOUBLE_EQ(trace.backoff_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(trace.stats.backoff_seconds, 0.5);
 }
 
 TEST(Supervisor, GivesUpCleanlyAfterRetryBudget) {
@@ -133,12 +135,12 @@ TEST(Supervisor, GivesUpCleanlyAfterRetryBudget) {
   faults.schedule({/*epoch=*/4, sim::FaultKind::kNodeCrash, /*node=*/4});
   const auto trace = supervisor.run(faults, kMaxEpochs);
 
-  EXPECT_TRUE(trace.gave_up);
+  EXPECT_EQ(trace.stats.outcome, sched::SupervisorOutcome::kGaveUp);
   EXPECT_FALSE(trace.reached_target);
-  EXPECT_EQ(trace.restores, 0);
-  EXPECT_EQ(trace.restore_attempts, 3);
+  EXPECT_EQ(trace.stats.restores, 0);
+  EXPECT_EQ(trace.stats.restore_attempts, 3);
   // Backoff between attempts 1-2 and 2-3: 0.5 + 1.0, none after the last.
-  EXPECT_DOUBLE_EQ(trace.backoff_seconds, 1.5);
+  EXPECT_DOUBLE_EQ(trace.stats.backoff_seconds, 1.5);
   EXPECT_FALSE(supervisor.has_job());
   EXPECT_EQ(supervisor.stats().outcome, sched::SupervisorOutcome::kGaveUp);
   EXPECT_NE(supervisor.stats().give_up_reason.find("cluster is on fire"),
@@ -161,9 +163,9 @@ TEST(Supervisor, DiscardEpochPolicyRecoversInProcess) {
 
   EXPECT_TRUE(trace.reached_target);
   // No restore happened: recovery was the in-process shrink.
-  EXPECT_EQ(trace.restores, 0);
-  EXPECT_EQ(trace.restore_attempts, 0);
-  EXPECT_EQ(trace.epochs_lost_to_rollback, 0);
+  EXPECT_EQ(trace.stats.restores, 0);
+  EXPECT_EQ(trace.stats.restore_attempts, 0);
+  EXPECT_EQ(trace.stats.epochs_lost_to_rollback, 0);
   EXPECT_EQ(trace.crash_recoveries, 1);
   EXPECT_EQ(supervisor.job().allocation().size(), 3u);
 }
@@ -177,7 +179,7 @@ TEST(Supervisor, RetentionBoundsCheckpointFiles) {
   supervisor.start({0, 4, 8, 9});
   const auto trace = supervisor.run(sim::FaultInjector{}, kMaxEpochs);
   EXPECT_TRUE(trace.reached_target);
-  EXPECT_GT(trace.checkpoints_written, 2);
+  EXPECT_GT(trace.stats.checkpoints_written, 2);
   EXPECT_LE(supervisor.store().list().size(), 2u);
 }
 
@@ -199,9 +201,9 @@ TEST(Supervisor, CorruptCheckpointIsSkippedAtRestore) {
   faults.schedule({/*epoch=*/9, sim::FaultKind::kNodeCrash, /*node=*/4});
   const auto trace = supervisor.run(faults, kMaxEpochs);
 
-  EXPECT_EQ(trace.checkpoint_corruptions, 1);
-  EXPECT_EQ(trace.restores, 1);
-  EXPECT_FALSE(trace.gave_up);
+  EXPECT_EQ(trace.stats.checkpoint_corruptions, 1);
+  EXPECT_EQ(trace.stats.restores, 1);
+  EXPECT_NE(trace.stats.outcome, sched::SupervisorOutcome::kGaveUp);
   EXPECT_TRUE(trace.reached_target);
   EXPECT_GE(metrics.counter("sched.checkpoint.skipped_corrupt"), 1.0);
   EXPECT_EQ(metrics.counter("sched.checkpoint.corrupted"), 1.0);
