@@ -61,7 +61,7 @@ NodeTruth derive_node_truth(const NodeSpec& node, const JobProfile& job) {
 
 
 ClusterJob::ClusterJob(ClusterSpec cluster, JobProfile job, NoiseConfig noise,
-                       std::uint64_t seed)
+                       std::uint64_t seed, std::uint64_t first_epoch)
     : cluster_(std::move(cluster)),
       job_(std::move(job)),
       noise_(noise),
@@ -71,7 +71,8 @@ ClusterJob::ClusterJob(ClusterSpec cluster, JobProfile job, NoiseConfig noise,
                 : make_comm_schedule(cluster_.network, job_.gradient_bytes,
                                      job_.bucket_bytes,
                                      cluster_.comm_groups)),
-      seed_(seed) {
+      seed_(seed),
+      epoch_(first_epoch) {
   if (cluster_.nodes.empty()) {
     throw std::invalid_argument("ClusterJob: empty cluster");
   }

@@ -132,8 +132,12 @@ struct EpochObservation {
 /// A cluster bound to one job: owns ground truth and generates epochs.
 class ClusterJob {
  public:
+  /// `first_epoch` is the index of the first run_epoch() call in the
+  /// noise key: a job rebuilt mid-run (e.g. on a new allocation) passes
+  /// its lifetime epoch count so it draws fresh noise instead of
+  /// replaying its first epochs'.
   ClusterJob(ClusterSpec cluster, JobProfile job, NoiseConfig noise,
-             std::uint64_t seed);
+             std::uint64_t seed, std::uint64_t first_epoch = 0);
 
   int size() const { return cluster_.size(); }
   const ClusterSpec& cluster() const { return cluster_; }
@@ -196,9 +200,10 @@ class ClusterJob {
   std::vector<double> node_meas_sigma_;
   std::vector<double> node_comm_sigma_;
   /// Noise key: every draw hashes (seed_, epoch index, step, micro-step,
-  /// node, kind); epoch_ counts the run_epoch() calls made so far.
+  /// node, kind); epoch_ is first_epoch plus the run_epoch() calls made
+  /// so far.
   std::uint64_t seed_;
-  std::uint64_t epoch_ = 0;
+  std::uint64_t epoch_;
 };
 
 }  // namespace cannikin::sim
