@@ -330,6 +330,31 @@ double time_gemm_seconds(dnn::kernels::KernelKind kind) {
          kCalls;
 }
 
+double median(std::vector<double> values) {
+  const auto mid =
+      values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
+  std::nth_element(values.begin(), mid, values.end());
+  return *mid;
+}
+
+// Median seconds per GEMM call of the naive and the optimized kernel,
+// timed in `reps` interleaved rounds (naive, then optimized, in each):
+// a slow stretch of a shared machine lands on both kernels alike
+// instead of on whichever one it happened to be timing.
+struct GemmSeconds {
+  double naive = 0.0;
+  double optimized = 0.0;
+};
+GemmSeconds time_gemm_interleaved(int reps) {
+  std::vector<double> naive, optimized;
+  for (int i = 0; i < reps; ++i) {
+    naive.push_back(time_gemm_seconds(dnn::kernels::KernelKind::kNaive));
+    optimized.push_back(
+        time_gemm_seconds(dnn::kernels::KernelKind::kOptimized));
+  }
+  return {median(std::move(naive)), median(std::move(optimized))};
+}
+
 // The cifar10 stand-in's two convolutions at the heavier rank's share
 // (43 samples) of real_train's 64-sample batch: 3->6 channels over
 // 8x8, then 6->6 over 4x4, both 3x3 with padding 1.
@@ -522,12 +547,7 @@ int main(int argc, char** argv) {
   // ------------------------------------------------- compute kernels
   bench::BenchReport dnn_report("bench/micro_perf");
 
-  const double naive_gemm_s = best_of(3, [] {
-    return time_gemm_seconds(dnn::kernels::KernelKind::kNaive);
-  });
-  const double opt_gemm_s = best_of(3, [] {
-    return time_gemm_seconds(dnn::kernels::KernelKind::kOptimized);
-  });
+  const auto [naive_gemm_s, opt_gemm_s] = time_gemm_interleaved(/*reps=*/21);
   const double flops = 2.0 * kGemmDim * kGemmDim * kGemmDim;
   const double gemm_speedup = naive_gemm_s / opt_gemm_s;
   dnn_report.gauge("gemm256.naive_gflops", flops / naive_gemm_s / 1e9);

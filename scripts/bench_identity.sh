@@ -10,7 +10,9 @@
 #   scripts/bench_identity.sh <ref-src>/build build
 #
 # Exits non-zero when any bench differs, exits non-zero, or is missing
-# from the reference tree. Each bench runs in its own temporary working
+# from the reference tree, and when any shape check of the new tree
+# prints MISMATCH -- even one the reference tree misses the same way.
+# Prints the number of shape checks that held. Each bench runs in its own temporary working
 # directory, so the BENCH_*.json artifacts some of them write stay out
 # of the tree.
 #
@@ -104,6 +106,19 @@ for bin in "$new"/bench/*; do
   fi
   checked=$((checked + 1))
 done
+
+# Identical output does not excuse a shape check the new tree misses.
+shape_ok=0
+for out in "$tmp"/new/*.out; do
+  [[ -f "$out" ]] || continue
+  shape_ok=$((shape_ok + $(grep -c 'SHAPE CHECK \[ok\]' "$out" || true)))
+  if grep -q 'SHAPE CHECK \[MISMATCH\]' "$out"; then
+    echo "MISMATCH in $(basename "$out" .out):" >&2
+    grep 'SHAPE CHECK \[MISMATCH\]' "$out" >&2
+    failed=1
+  fi
+done
+echo "shape checks ok: $shape_ok"
 
 if [[ "$failed" -ne 0 ]]; then
   echo "bench identity FAILED" >&2
