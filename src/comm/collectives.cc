@@ -41,8 +41,8 @@ namespace {
 
 using Algorithm = CollectiveCall::Algorithm;
 
-WorkPtr run(Communicator& comm, const CollectiveCall& call) {
-  return comm.backend().run_collective(comm.rank(), call);
+WorkPtr run(Communicator& comm, CollectiveCall call) {
+  return comm.backend().run_collective(comm.rank(), std::move(call));
 }
 
 // Every body's first statement: a collective of an aborted group fails

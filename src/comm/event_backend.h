@@ -113,10 +113,8 @@ class EventBackend final : public Backend {
   /// Events executed so far.
   std::uint64_t events_processed() const;
 
-  /// Scheduler internals (opaque; named by the .cc's collective machine).
-  struct Impl;
-
  private:
+  struct Impl;  ///< scheduler internals
   std::unique_ptr<Impl> impl_;
 };
 

@@ -1,58 +1,92 @@
 #include "comm/work.h"
 
 #include <chrono>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
 namespace cannikin::comm {
 
-bool Work::is_completed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return done_;
+namespace {
+
+/// Where threads sleeping in Work::wait() park: one mutex and condition
+/// variable per stripe of Works, so a Work carries neither. A finish()
+/// wakes every sleeper of its stripe, so the stripe is a multiplicative
+/// hash of the address: consecutive Works (allocated 64 bytes apart)
+/// land on different stripes.
+struct ParkingLot {
+  std::mutex mutex;
+  std::condition_variable cv;
+};
+
+ParkingLot& parking_lot(const Work* work) {
+  constexpr int kStripeBits = 6;
+  static ParkingLot lots[1 << kStripeBits];
+  const auto address = reinterpret_cast<std::uintptr_t>(work);
+  return lots[(address * 0x9e3779b97f4a7c15ULL) >> (64 - kStripeBits)];
 }
+
+}  // namespace
 
 bool Work::wait(double timeout_seconds) {
   // An installed hook (event backend) replaces the sleep: the waiting
   // thread pumps the backend's scheduler, which is what completes this
-  // Work. The cv path below then returns without blocking.
-  std::function<bool(double)> hook;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!done_) hook = wait_hook_;
+  // Work. The parking path below then returns without blocking.
+  if (!is_completed() && wait_hook_ != nullptr &&
+      !wait_hook_(wait_context_, *this, timeout_seconds)) {
+    return false;
   }
-  if (hook && !hook(timeout_seconds)) return false;
-  std::unique_lock<std::mutex> lock(mutex_);
-  const auto done = [&] { return done_; };
-  if (timeout_seconds > 0.0) {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(timeout_seconds));
-    if (!cv_.wait_until(lock, deadline, done)) return false;
-  } else {
-    cv_.wait(lock, done);
+  if (!is_completed()) {
+    ParkingLot& lot = parking_lot(this);
+    std::unique_lock<std::mutex> lock(lot.mutex);
+    // Registering before the re-check pairs with finish()'s store then
+    // load (both seq_cst): either finish() sees the sleeper and notifies
+    // under the mutex, or this thread sees the completion.
+    sleepers_.fetch_add(1);
+    const auto done = [&] { return state_.load() != State::kPending; };
+    bool completed = true;
+    if (timeout_seconds > 0.0) {
+      const auto deadline =
+          std::chrono::steady_clock::now() +
+          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+              std::chrono::duration<double>(timeout_seconds));
+      completed = lot.cv.wait_until(lock, deadline, done);
+    } else {
+      lot.cv.wait(lock, done);
+    }
+    sleepers_.fetch_sub(1);
+    if (!completed) return false;
   }
-  if (error_) std::rethrow_exception(error_);
+  if (const std::exception_ptr error = exception()) {
+    std::rethrow_exception(error);
+  }
   return true;
 }
 
 std::exception_ptr Work::exception() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return error_;
+  return state_.load(std::memory_order_acquire) == State::kFailed ? error_
+                                                                  : nullptr;
 }
 
-void Work::set_wait_hook(std::function<bool(double)> hook) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  wait_hook_ = std::move(hook);
+void Work::set_wait_hook(WaitHook hook, void* context) {
+  wait_hook_ = hook;
+  wait_context_ = context;
 }
 
 void Work::finish(std::exception_ptr error) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    done_ = true;
-    error_ = std::move(error);
+  const State state = error ? State::kFailed : State::kSucceeded;
+  error_ = std::move(error);
+  if (wait_hook_ != nullptr) {
+    // wait() on a hooked Work returns from the hook completed: no thread
+    // ever parks on it.
+    state_.store(state, std::memory_order_release);
+    return;
   }
-  cv_.notify_all();
+  state_.store(state);
+  if (sleepers_.load() == 0) return;
+  ParkingLot& lot = parking_lot(this);
+  { std::lock_guard<std::mutex> lock(lot.mutex); }
+  lot.cv.notify_all();
 }
 
 ProgressEngine::ProgressEngine(std::exception_ptr poison) {

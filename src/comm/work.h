@@ -17,9 +17,11 @@
 // the progress thread itself never hangs and is joined on shutdown.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -32,10 +34,19 @@
 namespace cannikin::comm {
 
 /// Handle to one asynchronous communication operation.
+///
+/// Completion is one atomic state: finish() stores the exception first
+/// and then publishes the state with a release store, so
+/// is_completed() and exception() take no lock. A thread that has to
+/// sleep in wait() parks on a mutex and condition variable shared by a
+/// stripe of Works; finish() touches them only while a thread is
+/// parked on this Work.
 class Work {
  public:
   /// True once the operation finished (successfully or with an error).
-  bool is_completed() const;
+  bool is_completed() const {
+    return state_.load(std::memory_order_acquire) != State::kPending;
+  }
 
   /// Blocks until the operation completes, then rethrows its exception
   /// if it failed. `timeout_seconds` <= 0 waits forever. Returns false
@@ -46,26 +57,37 @@ class Work {
   /// The operation's failure, or nullptr while pending / on success.
   std::exception_ptr exception() const;
 
-  /// Backend-internal. Called by wait() *instead of* sleeping on the
-  /// condition variable: the event backend installs a hook that pumps
-  /// its scheduler until this Work completes, so a caller blocked on a
-  /// virtual-rank collective drives the simulation forward. Returns
-  /// whether the Work completed within `timeout_seconds` (<= 0 waits
-  /// forever). wait() still performs its own final done/error check, so
-  /// a hook whose backend has since been destroyed may simply return
-  /// is_completed().
-  void set_wait_hook(std::function<bool(double)> hook);
+  /// Drives a pending Work towards completion on the waiting thread;
+  /// returns whether `work` completed within `timeout_seconds` (<= 0
+  /// waits forever).
+  using WaitHook = bool (*)(void* context, Work& work, double timeout_seconds);
+
+  /// Backend-internal, called before the Work is handed out. wait() on
+  /// a pending Work calls `hook(context, *this, timeout)` *instead of*
+  /// sleeping: the event backend's hook pumps its scheduler until this
+  /// Work completes, so a caller blocked on a virtual-rank collective
+  /// drives the simulation forward. wait() calls the hook only while
+  /// the Work is pending, and `context` is the backend: a backend that
+  /// installs a hook must therefore finish every Work it handed out
+  /// before it is destroyed (EventBackend asserts this), after which a
+  /// WorkPtr may outlive it.
+  void set_wait_hook(WaitHook hook, void* context);
 
  private:
   friend class ProgressEngine;
   friend class EventBackend;
+  enum class State : std::uint8_t { kPending, kSucceeded, kFailed };
+
+  /// Completes the Work; at most once per Work, and only through a
+  /// reference that keeps the Work alive until finish() returns.
   void finish(std::exception_ptr error);
 
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  bool done_ = false;
-  std::exception_ptr error_;
-  std::function<bool(double)> wait_hook_;  ///< guarded by mutex_
+  std::atomic<State> state_{State::kPending};
+  /// Threads parked in wait(); finish() notifies only when non-zero.
+  std::atomic<std::uint32_t> sleepers_{0};
+  std::exception_ptr error_;  ///< written once, before state_ is published
+  WaitHook wait_hook_ = nullptr;
+  void* wait_context_ = nullptr;
 };
 
 using WorkPtr = std::shared_ptr<Work>;

@@ -91,6 +91,111 @@ TEST(Work, OutOfOrderWaitsObserveFifoExecution) {
   EXPECT_EQ(order, expected);  // safe: progress thread is done with them
 }
 
+TEST(Work, EverySleeperWakesWhenTheOpFinishes) {
+  // Two threads park on one Work; completion must wake both.
+  ProcessGroup group(2);
+  Communicator comm0 = group.communicator(0);
+  Communicator comm1 = group.communicator(1);
+  WorkPtr work = comm0.submit([comm0]() mutable { comm0.recv(1, 4); });
+  std::atomic<int> woken{0};
+  std::vector<std::thread> sleepers;
+  for (int i = 0; i < 2; ++i) {
+    sleepers.emplace_back([&] {
+      if (work->wait(5.0)) ++woken;
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  comm1.send(0, 4, {1.0});
+  for (auto& t : sleepers) t.join();
+  EXPECT_EQ(woken.load(), 2);
+}
+
+// Event backend: a collective's Work is completed under the scheduler
+// mutex while other threads read it without a lock.
+
+GroupOptions event_options(int size) {
+  GroupOptions options;
+  options.size = size;
+  options.backend = BackendKind::kEvent;
+  return options;
+}
+
+TEST(EventWork, WorkOutlivesItsProcessGroup) {
+  WorkPtr finished;
+  WorkPtr unfinished;
+  std::vector<double> a{1.0, 2.0};
+  std::vector<double> b{3.0, 4.0};
+  std::vector<double> lone{5.0};
+  {
+    ProcessGroup group(event_options(2));
+    finished = async_ring_all_reduce(group.communicator(0), a, 1);
+    WorkPtr peer = async_ring_all_reduce(group.communicator(1), b, 1);
+    // Rank 1 never joins this one: it is still pending when the group
+    // is destroyed.
+    unfinished = async_ring_all_reduce(group.communicator(0), lone, 2);
+    EXPECT_TRUE(finished->wait());
+    EXPECT_TRUE(peer->wait());
+    EXPECT_FALSE(unfinished->is_completed());
+  }
+  // Neither wait may reach back into the destroyed backend.
+  EXPECT_TRUE(finished->is_completed());
+  EXPECT_TRUE(finished->wait());
+  EXPECT_EQ(finished->exception(), nullptr);
+  EXPECT_EQ(a, (std::vector<double>{4.0, 6.0}));
+  EXPECT_TRUE(unfinished->is_completed());
+  EXPECT_NE(unfinished->exception(), nullptr);
+  EXPECT_THROW(unfinished->wait(), CommAbortedError);
+  EXPECT_THROW(unfinished->wait(1.0), CommAbortedError);
+}
+
+TEST(EventWork, PollingThreadSeesTheCompletionOfAWaitedWork) {
+  ProcessGroup group(event_options(2));
+  std::vector<double> a{1.0};
+  std::vector<double> b{2.0};
+  std::vector<double> lone{3.0};
+  WorkPtr joined = async_ring_all_reduce(group.communicator(0), a, 1);
+  WorkPtr aborted = async_ring_all_reduce(group.communicator(0), lone, 2);
+
+  // A second thread polls both Works while this one waits on them.
+  std::atomic<bool> stop{false};
+  std::atomic<bool> saw_error{false};
+  std::exception_ptr seen_error;  // written by the poller, read after join
+  std::thread poller([&] {
+    while (!stop.load()) {
+      if (joined->is_completed()) EXPECT_EQ(joined->exception(), nullptr);
+      if (!saw_error.load() && aborted->is_completed()) {
+        seen_error = aborted->exception();
+        saw_error = true;
+      }
+    }
+  });
+
+  // Rank 1 has not joined yet: the deadline passes with the op pending.
+  EXPECT_FALSE(joined->wait(0.02));
+  EXPECT_FALSE(joined->is_completed());
+  WorkPtr peer = async_ring_all_reduce(group.communicator(1), b, 1);
+  EXPECT_TRUE(joined->wait(5.0));
+  EXPECT_TRUE(peer->wait(5.0));
+  EXPECT_EQ(a, std::vector<double>{3.0});
+
+  // `aborted` waits behind `joined` on rank 0 and never gets a peer;
+  // an abort from a third thread fails it while this thread waits.
+  std::thread aborter([&group] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    group.abort();
+  });
+  EXPECT_THROW(aborted->wait(5.0), CommAbortedError);
+  aborter.join();
+  const auto start = Clock::now();
+  while (!saw_error.load() && seconds_since(start) < 5.0) {
+    std::this_thread::yield();
+  }
+  stop = true;
+  poller.join();
+  ASSERT_NE(seen_error, nullptr);
+  EXPECT_THROW(std::rethrow_exception(seen_error), CommAbortedError);
+}
+
 // ---------------------------------------------------- async collectives
 
 TEST(AsyncCollectives, AsyncRingAllReduceMatchesSync) {

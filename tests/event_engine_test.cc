@@ -2,14 +2,14 @@
 // round (event count, virtual end time, reduced sums) on a clean and on
 // a lossy fabric; one 64-rank round each of the ring all-reduce, a
 // broadcast from a non-zero root and an uneven all-gather; the heap
-// allocations of a steady-state tree round; and the channel-table
-// bookkeeping of a long-lived group. The 1024-rank golden values were
-// captured on the std::function / std::map engine that preceded the
-// typed-record engine, the 64-rank ones on the hand-written per-
-// collective state machines that preceded the shared coroutine bodies,
-// so any change to the (time, seq) pop order, the event count, the
-// delivery plan or a body's send/receive order shows up here as a
-// mismatch.
+// allocations (count and bytes) of a steady-state tree round at 64 and
+// at 1024 ranks; and the channel-table bookkeeping of a long-lived
+// group. The 1024-rank golden values were captured on the
+// std::function / std::map engine that preceded the typed-record
+// engine, the 64-rank ones on the hand-written per-collective state
+// machines that preceded the shared coroutine bodies, so any change to
+// the (time, seq) pop order, the event count, the delivery plan or a
+// body's send/receive order shows up here as a mismatch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,14 +27,16 @@
 #include "comm/work.h"
 #include "sim/cluster_factory.h"
 
-// Counts every heap allocation in this binary, so a test can pin how
-// many a steady-state collective round makes.
+// Counts every heap allocation in this binary and its bytes, so a test
+// can pin what a steady-state collective round allocates.
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -270,21 +272,23 @@ TEST(EventEngineSchedule, UnevenAllGatherAtSixtyFourRanks) {
   EXPECT_EQ(group.retry_stats().messages, 4032u);
 }
 
-TEST(EventEngineAllocations, SteadyStateTreeRoundStaysWithinItsBudget) {
-  // A warm group (slabs, channel table and payload pool at their
-  // high-water marks) allocates once per collective per rank (its
-  // machine) plus the harness's own closures (one per rank) and work
-  // vector: 64 * 4 + 64 + 1 = 321 on the per-collective state machines
-  // the budget was captured on.
+struct Allocations {
+  std::uint64_t count = 0;
+  std::uint64_t bytes = 0;
+};
+
+/// Heap allocations of the last of three bucketed tree rounds on one
+/// warm group (slabs, channel table and payload pool at their
+/// high-water marks), each round driven by run_small_round.
+Allocations warm_round_allocations(ProcessGroup& group) {
   constexpr int kRounds = 3;
-  ProcessGroup group(small_two_speed_options());
-  std::vector<std::vector<double>> data(
-      static_cast<std::size_t>(kSmall) * kBuckets,
-      std::vector<double>(kElements, 1.0));
-  std::uint64_t allocations = 0;
+  const auto n = static_cast<std::size_t>(group.size());
+  std::vector<std::vector<double>> data(n * kBuckets,
+                                        std::vector<double>(kElements, 1.0));
+  Allocations allocations;
   for (int round = 0; round < kRounds; ++round) {
-    const std::uint64_t before =
-        g_allocations.load(std::memory_order_relaxed);
+    const Allocations before{g_allocations.load(std::memory_order_relaxed),
+                             g_allocated_bytes.load(std::memory_order_relaxed)};
     run_small_round(group, [&](int rank, Communicator& comm) {
       WorkPtr last;
       for (int b = 0; b < kBuckets; ++b) {
@@ -295,12 +299,34 @@ TEST(EventEngineAllocations, SteadyStateTreeRoundStaysWithinItsBudget) {
       }
       return last;
     });
-    allocations = g_allocations.load(std::memory_order_relaxed) - before;
+    allocations = {
+        g_allocations.load(std::memory_order_relaxed) - before.count,
+        g_allocated_bytes.load(std::memory_order_relaxed) - before.bytes};
   }
   for (const auto& reduced : data) {
-    ASSERT_EQ(reduced, std::vector<double>(kElements, kSmall));
+    EXPECT_EQ(reduced,
+              std::vector<double>(kElements, static_cast<double>(n)));
   }
-  EXPECT_LE(allocations, 321u);
+  return allocations;
+}
+
+// A warm group allocates once per collective per rank (its 48-byte
+// Work: state, exception and wait hook plus the shared_ptr control
+// block), plus the harness's own closures (one per rank) and work
+// vector; machines, event records and payloads come from pools. The
+// byte budget catches a per-collective record growing back.
+TEST(EventEngineAllocations, SteadyStateTreeRoundStaysWithinItsBudget) {
+  ProcessGroup group(small_two_speed_options());
+  const Allocations allocations = warm_round_allocations(group);
+  EXPECT_LE(allocations.count, 321u);  // 64 * 4 + 64 + 1
+  EXPECT_LE(allocations.bytes, 15360u);
+}
+
+TEST(EventEngineAllocations, SteadyStateTreeRoundAtOneThousandRanks) {
+  ProcessGroup group(two_speed_options());
+  const Allocations allocations = warm_round_allocations(group);
+  EXPECT_LE(allocations.count, 5121u);  // 1024 * 4 + 1024 + 1
+  EXPECT_LE(allocations.bytes, 245760u);
 }
 
 TEST(EventEngineChannels, LongLivedGroupClosesEveryChannel) {

@@ -2,14 +2,18 @@
 // bucketized batch timeline (Figures 1-3) and the simulated cluster.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "sim/cluster.h"
 #include "sim/cluster_factory.h"
+#include "sim/event_queue.h"
 #include "sim/gpu.h"
 #include "sim/network.h"
 #include "sim/timeline.h"
@@ -450,6 +454,73 @@ TEST(ClusterFactory, TwoSpeedClusterRatio) {
   EXPECT_DOUBLE_EQ(spec.nodes[7].contention, 0.25);
   EXPECT_THROW(two_speed_cluster(1, 2.0), std::invalid_argument);
   EXPECT_THROW(two_speed_cluster(4, 0.5), std::invalid_argument);
+}
+
+// The contract EventBackend and FleetSim rely on, whatever store holds
+// the events: every pop returns the pending event that a stable sort by
+// time over insertion order puts first. Pushes mix fresh times, exact
+// repeats of earlier times (about 30%), times before the latest pop
+// and runs at the current time, with pops interleaved.
+TEST(EventQueue, PopsInTimeThenInsertionOrder) {
+  Rng rng(17);
+  EventQueue<int> queue;
+  std::vector<std::pair<double, int>> pending;  // (time, insertion index)
+  std::vector<double> used_times{0.0};
+  double now = 0.0;
+  int pushed = 0;
+  int popped = 0;
+  while (pushed < 10000 || !pending.empty()) {
+    if (pushed < 10000 && (pending.empty() || rng.uniform() < 0.55)) {
+      const double draw = rng.uniform();
+      double time = now + rng.uniform(0.0, 1e-3);
+      if (draw < 0.3) {
+        time = used_times[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(used_times.size()) - 1))];
+      } else if (draw < 0.4) {
+        time = now;
+      } else if (draw < 0.45) {
+        time = now - rng.uniform(0.0, 1e-3);
+      }
+      used_times.push_back(time);
+      queue.push(time, pushed);
+      pending.emplace_back(time, pushed);
+      ++pushed;
+      continue;
+    }
+    // Stable sort by time over insertion order: the first pending entry
+    // with the smallest time.
+    const auto first = std::min_element(
+        pending.begin(), pending.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    ASSERT_EQ(queue.size(), pending.size());
+    ASSERT_EQ(queue.next_time(), first->first);
+    const auto [time, event] = queue.pop();
+    ASSERT_EQ(time, first->first) << "pop " << popped;
+    ASSERT_EQ(event, first->second) << "pop " << popped;
+    pending.erase(first);
+    now = time;
+    ++popped;
+  }
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(popped, 10000);
+}
+
+TEST(EventQueue, ClearDropsPendingEventsAndKeepsTheOrderForLaterPushes) {
+  EventQueue<int> queue;
+  for (int i = 0; i < 100; ++i) queue.push(1.0 + (i % 7) * 0.25, i);
+  (void)queue.pop();
+  queue.clear();
+  EXPECT_TRUE(queue.empty());
+  EXPECT_THROW(queue.pop(), std::logic_error);
+  // Later pushes replay in (time, insertion) order: equal times in the
+  // order they were pushed, before and after the last pop's time.
+  queue.push(2.0, 1);
+  queue.push(0.5, 2);
+  queue.push(2.0, 3);
+  queue.push(0.5, 4);
+  std::vector<int> order;
+  while (!queue.empty()) order.push_back(queue.pop().second);
+  EXPECT_EQ(order, (std::vector<int>{2, 4, 1, 3}));
 }
 
 }  // namespace
