@@ -1,10 +1,9 @@
-// Google-benchmark micro-benchmarks for the hot paths whose cost the
-// paper accounts as overhead: Algorithm 1 (overlap-state search +
-// OptPerf solve), warm-started re-solves, the Theorem 4.1 weight
-// computation, the bucketized ring all-reduce, and the event-level
-// batch timeline.
-#include <benchmark/benchmark.h>
-
+// Measurements perfbench does not take: the wall-clock gain of
+// streaming gradient buckets into the async comm engine while backward
+// still runs (BENCH_obs.json, with the tracing layer's own overhead),
+// and the compute kernels' speedups over the naive reference
+// (BENCH_dnn.json, with the GEMM and conv de-vectorization gates).
+// Takes no arguments.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -17,8 +16,6 @@
 #include "comm/bucket.h"
 #include "comm/process_group.h"
 #include "common/rng.h"
-#include "core/gns.h"
-#include "core/optperf.h"
 #include "dnn/data.h"
 #include "dnn/kernels/arena.h"
 #include "dnn/kernels/kernels.h"
@@ -29,9 +26,7 @@
 #include "dnn/zoo.h"
 #include "obs/scope.h"
 #include "obs/trace.h"
-#include "sim/cluster.h"
-#include "sim/cluster_factory.h"
-#include "workloads/registry.h"
+#include "sim/network.h"
 
 // ------------------------------------------------------------------
 // Process-wide heap-allocation counter, for the allocs-per-step metric
@@ -75,178 +70,21 @@ namespace {
 
 using namespace cannikin;
 
-core::OptPerfSolver make_solver(int n) {
-  Rng rng(7);
-  std::vector<core::NodeModel> models;
-  for (int i = 0; i < n; ++i) {
-    core::NodeModel m;
-    m.q = rng.uniform(1e-4, 5e-3);
-    m.s = rng.uniform(1e-3, 2e-2);
-    m.k = rng.uniform(1e-4, 8e-3);
-    m.m = rng.uniform(1e-3, 1e-2);
-    models.push_back(m);
-  }
-  return core::OptPerfSolver(std::move(models),
-                             core::CommTimes{0.2, 0.06, 0.01});
-}
-
-void BM_OptPerfSolve(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto solver = make_solver(n);
-  double total = n * 40.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve(total));
-    total += 1.0;  // defeat caching
-  }
-  state.SetLabel("nodes=" + std::to_string(n));
-}
-BENCHMARK(BM_OptPerfSolve)->Arg(3)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_OptPerfSolveWarm(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto solver = make_solver(n);
-  const double total = n * 40.0;
-  const int hint = solver.solve(total).num_compute_bottleneck;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve_with_hint(total, hint));
-  }
-}
-BENCHMARK(BM_OptPerfSolveWarm)->Arg(16)->Arg(256);
-
-void BM_GnsWeights(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(3);
-  std::vector<double> batches;
-  for (int i = 0; i < n; ++i) batches.push_back(rng.uniform(4.0, 128.0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::optimal_grad_weights(batches));
-    benchmark::DoNotOptimize(core::optimal_noise_weights(batches));
-  }
-}
-BENCHMARK(BM_GnsWeights)->Arg(3)->Arg(16)->Arg(64);
-
-void BM_BatchTimeline(benchmark::State& state) {
-  const auto& workload = workloads::by_name("squad");  // 18 buckets
-  sim::ClusterJob job(sim::cluster_b(), workload.profile,
-                      sim::NoiseConfig::none(), 1);
-  std::vector<double> batches(16, 8.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(job.true_batch_time(batches));
-  }
-}
-BENCHMARK(BM_BatchTimeline);
-
 // --------------------------------------------------------------------
-// Compute/communication overlap: the measured wall-clock difference
-// between reducing after backward finishes (sync) and streaming each
-// bucket into the async engine the moment it is ready. "Backward
-// compute" is a sleep (the host-CPU analogue of a GPU kernel: it takes
-// time without occupying this core) and the link carries a per-message
-// latency, so the async engine can genuinely hide transmission time --
-// even on a single-core machine.
+// Compute/communication overlap (BENCH_obs.json): the measured
+// wall-clock difference between reducing after backward finishes
+// (sync) and streaming each bucket into the async engine the moment it
+// is ready, plus the async run with tracing *enabled*, so the
+// observability layer's own overhead is reported as a metric instead
+// of asserted. "Backward compute" is a sleep (the host-CPU analogue of
+// a GPU kernel: it takes time without occupying this core) and the
+// link carries a per-message latency, so the async engine can
+// genuinely hide transmission time -- even on a single-core machine.
 constexpr int kOverlapRanks = 4;
 constexpr std::size_t kOverlapBuckets = 6;
 constexpr std::size_t kOverlapElems = 2048;  // per bucket
 constexpr double kOverlapLinkLatency = 0.8e-3;
 constexpr auto kOverlapComputePerBucket = std::chrono::microseconds(4000);
-
-void BM_OverlapSyncBackwardThenReduce(benchmark::State& state) {
-  const auto buckets =
-      comm::make_buckets(kOverlapBuckets * kOverlapElems, kOverlapElems);
-  for (auto _ : state) {
-    comm::ProcessGroup group(kOverlapRanks);
-    group.set_fabric(sim::FabricModel::uniform_latency(kOverlapLinkLatency));
-    std::vector<std::thread> threads;
-    for (int rank = 0; rank < kOverlapRanks; ++rank) {
-      threads.emplace_back([&, rank] {
-        comm::Communicator comm = group.communicator(rank);
-        std::vector<double> grad(kOverlapBuckets * kOverlapElems,
-                                 rank + 1.0);
-        const std::uint64_t tag = comm.tags().block(
-            comm::CollectiveKind::kBucketAllReduce, buckets.size());
-        // Full backward first...
-        for (std::size_t b = 0; b < kOverlapBuckets; ++b) {
-          std::this_thread::sleep_for(kOverlapComputePerBucket);
-        }
-        // ...then every bucket's reduce, fully exposed.
-        comm::bucketized_weighted_all_reduce(
-            comm, std::span<double>(grad), 0.25, buckets, tag);
-        benchmark::DoNotOptimize(grad.data());
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-  state.SetLabel("buckets=" + std::to_string(kOverlapBuckets) +
-                 " latency=" + std::to_string(kOverlapLinkLatency * 1e3) +
-                 "ms");
-}
-BENCHMARK(BM_OverlapSyncBackwardThenReduce)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_OverlapAsyncBucketReducer(benchmark::State& state) {
-  const auto buckets =
-      comm::make_buckets(kOverlapBuckets * kOverlapElems, kOverlapElems);
-  for (auto _ : state) {
-    comm::ProcessGroup group(kOverlapRanks);
-    group.set_fabric(sim::FabricModel::uniform_latency(kOverlapLinkLatency));
-    std::vector<std::thread> threads;
-    for (int rank = 0; rank < kOverlapRanks; ++rank) {
-      threads.emplace_back([&, rank] {
-        comm::Communicator comm = group.communicator(rank);
-        std::vector<double> grad(kOverlapBuckets * kOverlapElems,
-                                 rank + 1.0);
-        const std::uint64_t tag = comm.tags().block(
-            comm::CollectiveKind::kBucketAllReduce, buckets.size());
-        comm::BucketReducer reducer(comm, std::span<double>(grad), 0.25,
-                                    buckets, tag);
-        // Each bucket's reduce launches while later buckets are still
-        // "computing" -- the DDP overlap pipeline.
-        for (const comm::Bucket& bucket : buckets) {
-          std::this_thread::sleep_for(kOverlapComputePerBucket);
-          reducer.mark_ready(bucket.offset, bucket.length);
-        }
-        const auto stats = reducer.finish();
-        benchmark::DoNotOptimize(stats.exposed_wait_seconds);
-        benchmark::DoNotOptimize(grad.data());
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-  state.SetLabel("buckets=" + std::to_string(kOverlapBuckets) +
-                 " latency=" + std::to_string(kOverlapLinkLatency * 1e3) +
-                 "ms");
-}
-BENCHMARK(BM_OverlapAsyncBucketReducer)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_RingAllReduce(benchmark::State& state) {
-  const int n = 4;
-  const std::size_t elements = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    comm::ProcessGroup group(n);
-    std::vector<std::thread> threads;
-    for (int rank = 0; rank < n; ++rank) {
-      threads.emplace_back([&, rank] {
-        comm::Communicator comm = group.communicator(rank);
-        std::vector<double> data(elements, rank);
-        comm::ring_all_reduce(comm, std::span<double>(data), 1);
-        benchmark::DoNotOptimize(data.data());
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-  state.SetBytesProcessed(static_cast<long>(state.iterations()) *
-                          static_cast<long>(elements) * 8);
-}
-BENCHMARK(BM_RingAllReduce)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
-
-// --------------------------------------------------------------------
-// Direct overlap measurement for the BENCH_obs.json artifact: the same
-// sync vs async scenario as the benchmarks above, plus the async run
-// with tracing *enabled*, so the observability layer's own overhead is
-// reported as a metric instead of asserted.
 
 double run_overlap_seconds(bool async, obs::Scope scope) {
   const auto buckets =
@@ -262,22 +100,16 @@ double run_overlap_seconds(bool async, obs::Scope scope) {
       std::vector<double> grad(kOverlapBuckets * kOverlapElems, rank + 1.0);
       const std::uint64_t tag = comm.tags().block(
           comm::CollectiveKind::kBucketAllReduce, buckets.size());
-      if (async) {
-        comm::BucketReducer reducer(comm, std::span<double>(grad), 0.25,
-                                    buckets, tag);
-        for (const comm::Bucket& bucket : buckets) {
-          std::this_thread::sleep_for(kOverlapComputePerBucket);
-          reducer.mark_ready(bucket.offset, bucket.length);
-        }
-        reducer.finish();
-      } else {
-        for (std::size_t b = 0; b < kOverlapBuckets; ++b) {
-          std::this_thread::sleep_for(kOverlapComputePerBucket);
-        }
-        comm::bucketized_weighted_all_reduce(comm, std::span<double>(grad),
-                                             0.25, buckets, tag);
+      comm::BucketReducer reducer(comm, std::span<double>(grad), 0.25,
+                                  buckets, tag);
+      for (const comm::Bucket& bucket : buckets) {
+        std::this_thread::sleep_for(kOverlapComputePerBucket);
+        // Async launches each bucket's reduce while later buckets are
+        // still "computing"; sync leaves every bucket to finish(), after
+        // the full backward, so each reduce is exposed.
+        if (async) reducer.mark_ready(bucket.offset, bucket.length);
       }
-      benchmark::DoNotOptimize(grad.data());
+      reducer.finish();
     });
   }
   for (auto& t : threads) t.join();
@@ -306,13 +138,10 @@ constexpr std::size_t kGemmDim = 256;
 // (the accumulation order is the bitwise contract); the optimized
 // backend reaches SIMD by packing W^T and accumulating in the
 // independent-column axpy order, which preserves that contract.
-double time_gemm_seconds(dnn::kernels::KernelKind kind) {
+double time_gemm_seconds(dnn::kernels::KernelKind kind,
+                         const std::vector<double>& a,
+                         const std::vector<double>& w, std::vector<double>& c) {
   const dnn::kernels::KernelBackend& backend = dnn::kernels::kernel(kind);
-  Rng rng(11);
-  std::vector<double> a(kGemmDim * kGemmDim), w(kGemmDim * kGemmDim);
-  for (double& v : a) v = rng.normal();
-  for (double& v : w) v = rng.normal();
-  std::vector<double> c(kGemmDim * kGemmDim, 0.0);
   // Warm the caches, then time a small batch of calls.
   backend.linear(a.data(), w.data(), nullptr, c.data(), kGemmDim, kGemmDim,
                  kGemmDim, dnn::kernels::Activation::kNone, nullptr,
@@ -323,7 +152,6 @@ double time_gemm_seconds(dnn::kernels::KernelKind kind) {
     backend.linear(a.data(), w.data(), nullptr, c.data(), kGemmDim, kGemmDim,
                    kGemmDim, dnn::kernels::Activation::kNone, nullptr,
                    std::pmr::get_default_resource());
-    benchmark::DoNotOptimize(c.data());
   }
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
              .count() /
@@ -346,11 +174,19 @@ struct GemmSeconds {
   double optimized = 0.0;
 };
 GemmSeconds time_gemm_interleaved(int reps) {
+  // Every call of every round multiplies the same Gaussian operands,
+  // drawn once.
+  Rng rng(11);
+  std::vector<double> a(kGemmDim * kGemmDim), w(kGemmDim * kGemmDim);
+  for (double& v : a) v = rng.normal();
+  for (double& v : w) v = rng.normal();
+  std::vector<double> c(kGemmDim * kGemmDim, 0.0);
   std::vector<double> naive, optimized;
   for (int i = 0; i < reps; ++i) {
-    naive.push_back(time_gemm_seconds(dnn::kernels::KernelKind::kNaive));
+    naive.push_back(
+        time_gemm_seconds(dnn::kernels::KernelKind::kNaive, a, w, c));
     optimized.push_back(
-        time_gemm_seconds(dnn::kernels::KernelKind::kOptimized));
+        time_gemm_seconds(dnn::kernels::KernelKind::kOptimized, a, w, c));
   }
   return {median(std::move(naive)), median(std::move(optimized))};
 }
@@ -413,7 +249,6 @@ double time_conv_seconds(dnn::kernels::KernelKind kind) {
       backend.conv2d_backward_input(b.grad_out.data(), b.weight.data(),
                                     b.grad_input.data(), s, nullptr,
                                     arena.resource());
-      benchmark::DoNotOptimize(b.grad_input.data());
     }
   };
   pass();  // warm the caches and the arena
@@ -504,10 +339,11 @@ double run_epoch_seconds(dnn::kernels::KernelKind kind) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  if (argc > 1) {
+    std::fprintf(stderr, "%s: unknown argument '%s' (takes none)\n", argv[0],
+                 argv[1]);
+    return 2;
+  }
 
   using namespace cannikin;
   bench::BenchReport report("bench/micro_perf");

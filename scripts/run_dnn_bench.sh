@@ -13,8 +13,6 @@ cd "$(dirname "$0")/.."
 cmake --preset default
 cmake --build --preset default -j "$(nproc)" --target micro_perf
 
-# Skip the google-benchmark suites (nothing matches '$^'); the kernel
-# section and its gate run unconditionally after them.
-./build/bench/micro_perf --benchmark_filter='$^'
+./build/bench/micro_perf
 
 echo "dnn bench gate passed (see BENCH_dnn.json)"

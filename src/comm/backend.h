@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -192,14 +191,6 @@ class Backend {
 
   /// Blocks until every rank has entered the barrier.
   virtual void barrier(int rank) = 0;
-
-  /// Generic operation on `rank`'s comm queue. The thread backend runs
-  /// it on the rank's progress thread (submission order); the event
-  /// backend, having no progress threads, runs it inline on the caller
-  /// and returns an already-completed Work. Prefer run_collective(),
-  /// which both backends execute asynchronously.
-  virtual WorkPtr submit(int rank, std::function<void()> op,
-                         const char* op_name, int tag) = 0;
 
   /// Runs `call` on `rank` behind the rank's earlier ops and returns its
   /// Work at once. Both backends execute the algorithm's one body

@@ -179,12 +179,4 @@ BucketReducer::Stats BucketReducer::finish() {
   return stats;
 }
 
-void bucketized_weighted_all_reduce(Communicator& comm,
-                                    std::span<double> gradient, double weight,
-                                    const std::vector<Bucket>& buckets,
-                                    std::uint64_t base_tag) {
-  BucketReducer reducer(comm, gradient, weight, buckets, base_tag);
-  reducer.finish();
-}
-
 }  // namespace cannikin::comm

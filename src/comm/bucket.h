@@ -107,13 +107,4 @@ class BucketReducer {
   bool finished_ = false;
 };
 
-/// Blocking bucketized weighted all-reduce: a thin wrapper that builds
-/// a BucketReducer and immediately finishes it. Functionally equivalent
-/// to a single weighted all-reduce; kept so legacy call sites exercise
-/// the same engine code path whose timing the simulator models.
-void bucketized_weighted_all_reduce(Communicator& comm,
-                                    std::span<double> gradient, double weight,
-                                    const std::vector<Bucket>& buckets,
-                                    std::uint64_t base_tag);
-
 }  // namespace cannikin::comm

@@ -397,6 +397,8 @@ struct EventBackend::Impl {
   /// Per-(src, dst) monotone message counter feeding plan_delivery's
   /// replayable drop/jitter hashes, keyed pack_ranks(src, dst). Hashed, not
   /// an n*n matrix: at 10k ranks only the O(n log n) tree edges appear.
+  /// Counts only messages sent while the fabric is lossy, the only case
+  /// plan_delivery reads it, so a clean round never touches the map.
   FlatMap<std::uint64_t, std::uint64_t, PairHash> pair_seq;
   RetryStats retry_totals;
   obs::Scope scope;
@@ -562,7 +564,8 @@ struct EventBackend::Impl {
       recycle(std::move(payload));
       return;  // messages to or from a failed rank vanish
     }
-    const std::uint64_t seq = pair_seq[pack_ranks(src, dst)]++;
+    const std::uint64_t seq =
+        fabric.faults.any() ? pair_seq[pack_ranks(src, dst)]++ : 0;
     const sim::DeliveryPlan plan =
         sim::plan_delivery(fabric, retry, src, dst,
                            payload.size() * sizeof(double), at_time, seq);
@@ -1039,34 +1042,6 @@ void EventBackend::barrier(int rank) {
             "s; some rank never arrived");
       },
       "barrier", rank);
-}
-
-WorkPtr EventBackend::submit(int rank, std::function<void()> op,
-                             const char* op_name, int tag) {
-  (void)rank;
-  (void)tag;
-  auto work = std::make_shared<Work>();
-  if (aborted()) {
-    work->finish(std::make_exception_ptr(
-        CommAbortedError("submit: process group aborted")));
-    return work;
-  }
-  if (impl_->in_pump()) {
-    work->finish(std::make_exception_ptr(CommError(
-        std::string(op_name) +
-        ": generic submit cannot run inside an event handler")));
-    return work;
-  }
-  // The event backend has no per-rank progress threads: generic ops run
-  // inline on the caller (any blocking comm inside pumps the
-  // scheduler). Overlap comes from the typed collectives instead.
-  try {
-    op();
-    work->finish(nullptr);
-  } catch (...) {
-    work->finish(std::current_exception());
-  }
-  return work;
 }
 
 WorkPtr EventBackend::run_collective(int rank, CollectiveCall call) {

@@ -85,9 +85,6 @@ class EventBackend final : public Backend {
   Payload recv(int dst, int src, std::uint64_t tag, const char* op) override;
   void barrier(int rank) override;
 
-  WorkPtr submit(int rank, std::function<void()> op, const char* op_name,
-                 int tag) override;
-
   WorkPtr run_collective(int rank, CollectiveCall call) override;
 
   /// Schedules `fn` as an event at virtual time `vtime` (clamped to

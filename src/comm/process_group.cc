@@ -122,11 +122,6 @@ Payload Communicator::recv(int src, std::uint64_t tag, const char* op) {
   return group_->recv(rank_, src, tag, op);
 }
 
-WorkPtr Communicator::submit(std::function<void()> op, const char* op_name,
-                             int tag) {
-  return group_->backend_->submit(rank_, std::move(op), op_name, tag);
-}
-
 void Communicator::barrier() { group_->backend_->barrier(rank_); }
 
 }  // namespace cannikin::comm

@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -103,7 +102,7 @@ class ProcessGroup {
   /// Irreversibly poisons the group: every rank blocked in recv() or
   /// barrier() wakes with CommAbortedError, every pending (queued)
   /// Work fails without running, and every subsequent
-  /// send/recv/barrier/submit fails immediately. Safe to call from any
+  /// send/recv/barrier/collective fails immediately. Safe to call from any
   /// thread and idempotent -- this is the comm-abort path a watchdog
   /// takes when one worker is known dead.
   void abort();
@@ -165,15 +164,6 @@ class Communicator {
   /// Blocks until every rank in the group has entered the barrier,
   /// subject to the same timeout/abort semantics as recv().
   void barrier();
-
-  /// Enqueues `op` on this rank's comm queue; returns its Work handle.
-  /// On the thread backend ops run on the rank's progress thread in
-  /// submission order; the event backend runs them inline (see
-  /// Backend::submit). Prefer the async_* collectives over raw
-  /// submission. `op_name` / `tag` label the operation in traces (pass
-  /// string literals).
-  WorkPtr submit(std::function<void()> op, const char* op_name = "op",
-                 int tag = 0);
 
   /// The group's instrumentation scope bound to this rank's worker row
   /// (tid == rank). Disabled when the group has no scope attached.

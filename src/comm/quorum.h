@@ -70,7 +70,7 @@ struct QuorumOutcome {
 /// and tag*2 + 1 (result), mirroring the collectives' phase-mangling.
 ///
 /// Blocking (subject to the group timeout per awaited peer); drive it
-/// from worker threads or via Communicator::submit. Throws
+/// from worker threads. Throws
 /// QuorumLostError when fewer than min_quorum ranks are reachable,
 /// CommTimeoutError when this rank's contribution was lost on the wire
 /// (the coordinator excluded *us*), CommAbortedError after abort().

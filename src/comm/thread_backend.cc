@@ -230,7 +230,8 @@ void ThreadBackend::send(int src, int dst, std::uint64_t tag, Payload payload,
   {
     std::lock_guard<std::mutex> lock(fabric_mutex_);
     now = std::chrono::duration<double>(now_tp - epoch_).count();
-    const std::uint64_t seq = pair_seq_[{src, dst}]++;
+    const std::uint64_t seq =
+        fabric_.faults.any() ? pair_seq_[{src, dst}]++ : 0;
     plan = sim::plan_delivery(fabric_, retry_, src, dst,
                               payload.size() * sizeof(double), now, seq);
     retry_stats_.record(plan, retry_scope_);
@@ -291,11 +292,6 @@ void ThreadBackend::barrier(int rank) {
         "barrier: rank " + std::to_string(rank) + " timed out after " +
         std::to_string(timeout_seconds) + "s; some rank never arrived");
   }
-}
-
-WorkPtr ThreadBackend::submit(int rank, std::function<void()> op,
-                              const char* op_name, int tag) {
-  return engine(rank).submit(std::move(op), op_name, tag);
 }
 
 WorkPtr ThreadBackend::run_collective(int rank, CollectiveCall call) {

@@ -81,15 +81,12 @@ class ThreadBackend final : public Backend {
   Payload recv(int dst, int src, std::uint64_t tag, const char* op) override;
   void barrier(int rank) override;
 
-  WorkPtr submit(int rank, std::function<void()> op, const char* op_name,
-                 int tag) override;
-
   WorkPtr run_collective(int rank, CollectiveCall call) override;
 
+ private:
   /// The comm progress thread for `rank` (created on first use).
   ProgressEngine& engine(int rank);
 
- private:
   int size_;
   double timeout_seconds_ = 0.0;
   obs::Scope scope_;  ///< guarded by engines_mutex_
@@ -103,6 +100,8 @@ class ThreadBackend final : public Backend {
   mutable std::mutex fabric_mutex_;
   sim::FabricModel fabric_;
   sim::RetryPolicy retry_;
+  /// Per-(src, dst) message counter for plan_delivery; counts only
+  /// messages sent while the fabric is lossy, the only case that reads it.
   std::map<std::pair<int, int>, std::uint64_t> pair_seq_;
   RetryStats retry_stats_;
   obs::Scope retry_scope_;  ///< copy of scope_ for the send path

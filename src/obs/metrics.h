@@ -1,8 +1,7 @@
 // MetricsRegistry: named counters, gauges and histograms with a JSON
-// export that follows the repo's BENCH_*.json convention (the Google
-// Benchmark --benchmark_out shape, committed e.g. as BENCH_obs.json: a
-// "context" object plus a flat "benchmarks" array with one named entry
-// per measurement). Every bench binary
+// export that follows the repo's BENCH_*.json convention (committed
+// e.g. as BENCH_obs.json: a "context" object plus a flat "benchmarks"
+// array with one named entry per measurement). Every bench binary
 // reports through one of these instead of hand-rolled printf, so bench
 // trajectories accumulate as machine-readable files.
 //

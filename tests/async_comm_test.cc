@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -40,12 +42,13 @@ void run_ranks(ProcessGroup& group, Fn fn) {
 }
 
 // ------------------------------------------------------------ Work basics
+// Each Work is finished by a ProgressEngine's thread, never by the
+// thread waiting on it.
 
 TEST(Work, CompletesAndReportsNoError) {
-  ProcessGroup group(1);
-  Communicator comm = group.communicator(0);
+  ProgressEngine engine;
   std::atomic<bool> ran{false};
-  WorkPtr work = comm.submit([&] { ran = true; });
+  WorkPtr work = engine.submit([&] { ran = true; });
   EXPECT_TRUE(work->wait());
   EXPECT_TRUE(ran.load());
   EXPECT_TRUE(work->is_completed());
@@ -53,50 +56,74 @@ TEST(Work, CompletesAndReportsNoError) {
 }
 
 TEST(Work, WaitRethrowsTheOpError) {
-  ProcessGroup group(1);
-  Communicator comm = group.communicator(0);
+  ProgressEngine engine;
   WorkPtr work =
-      comm.submit([] { throw std::runtime_error("op exploded"); });
+      engine.submit([] { throw std::runtime_error("op exploded"); });
   EXPECT_THROW(work->wait(), std::runtime_error);
   EXPECT_TRUE(work->is_completed());
   EXPECT_NE(work->exception(), nullptr);
 }
 
 TEST(Work, WaitWithDeadlineReturnsFalseWhileOpIsBlocked) {
-  // Rank 0's op blocks on a recv that is satisfied only after the
-  // deadline-bounded wait has observed "not done yet".
-  ProcessGroup group(2);
-  Communicator comm0 = group.communicator(0);
-  Communicator comm1 = group.communicator(1);
-  WorkPtr work = comm0.submit([comm0]() mutable { comm0.recv(1, 3); });
+  // The op blocks until it is released, which happens only after the
+  // deadline-bounded wait has observed "not done yet". The promise is
+  // destroyed before the engine, so a failing test cannot hang the
+  // engine's join.
+  ProgressEngine engine;
+  std::promise<void> release;
+  WorkPtr work = engine.submit(
+      [released = release.get_future().share()] { released.wait(); });
   EXPECT_FALSE(work->wait(0.02));
   EXPECT_FALSE(work->is_completed());
-  comm1.send(0, 3, {1.0});
+  release.set_value();
   EXPECT_TRUE(work->wait());
 }
 
 TEST(Work, OutOfOrderWaitsObserveFifoExecution) {
-  // Ops run in submission order on the progress thread, so waiting the
-  // last Work implies every earlier one already ran.
-  ProcessGroup group(1);
-  Communicator comm = group.communicator(0);
-  std::vector<int> order;
+  // Collectives run in issue order on a rank's progress thread: rank 0
+  // queues eight before its peer joins, each one begins only after the
+  // one before it ended, and waiting the last Work implies every
+  // earlier one already ran.
+  constexpr int kOps = 8;
+  ProcessGroup group(2);
+  Communicator comm0 = group.communicator(0);
+  std::vector<std::vector<double>> data(kOps, std::vector<double>{1.0});
+  std::vector<std::shared_ptr<OpTimes>> times;
   std::vector<WorkPtr> works;
-  for (int i = 0; i < 8; ++i) {
-    works.push_back(comm.submit([&order, i] { order.push_back(i); }));
+  for (int i = 0; i < kOps; ++i) {
+    times.push_back(std::make_shared<OpTimes>());
+    works.push_back(comm0.backend().run_collective(
+        0, {.tag = static_cast<std::uint64_t>(i + 1),
+            .op_name = "all_reduce",
+            .data = data[static_cast<std::size_t>(i)],
+            .times = times.back()}));
   }
+  EXPECT_FALSE(works.front()->wait(0.02));  // the peer has not joined
+  std::thread peer([&group] {
+    Communicator comm1 = group.communicator(1);
+    for (int i = 0; i < kOps; ++i) {
+      std::vector<double> one{1.0};
+      ring_all_reduce(comm1, std::span<double>(one),
+                      static_cast<std::uint64_t>(i + 1));
+    }
+  });
   works.back()->wait();
   for (auto& work : works) EXPECT_TRUE(work->is_completed());
-  const std::vector<int> expected{0, 1, 2, 3, 4, 5, 6, 7};
-  EXPECT_EQ(order, expected);  // safe: progress thread is done with them
+  peer.join();
+  for (std::size_t i = 1; i < times.size(); ++i) {
+    EXPECT_LE(times[i - 1]->end_seconds, times[i]->begin_seconds);
+  }
+  for (const auto& reduced : data) {
+    EXPECT_EQ(reduced, std::vector<double>{2.0});
+  }
 }
 
 TEST(Work, EverySleeperWakesWhenTheOpFinishes) {
   // Two threads park on one Work; completion must wake both.
-  ProcessGroup group(2);
-  Communicator comm0 = group.communicator(0);
-  Communicator comm1 = group.communicator(1);
-  WorkPtr work = comm0.submit([comm0]() mutable { comm0.recv(1, 4); });
+  ProgressEngine engine;
+  std::promise<void> release;
+  WorkPtr work = engine.submit(
+      [released = release.get_future().share()] { released.wait(); });
   std::atomic<int> woken{0};
   std::vector<std::thread> sleepers;
   for (int i = 0; i < 2; ++i) {
@@ -105,7 +132,7 @@ TEST(Work, EverySleeperWakesWhenTheOpFinishes) {
     });
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  comm1.send(0, 4, {1.0});
+  release.set_value();
   for (auto& t : sleepers) t.join();
   EXPECT_EQ(woken.load(), 2);
 }
@@ -250,15 +277,18 @@ TEST(AsyncCollectives, ManyConcurrentInFlightWorksStress) {
 // --------------------------------------------------- abort cancellation
 
 TEST(AsyncAbort, AbortCancelsPendingWorksWithoutHanging) {
-  // No timeout configured: only abort() can release the in-flight op
-  // (blocked in recv) and the works queued behind it.
+  // No timeout configured: only abort() can release the in-flight
+  // collective (blocked in recv: its peer never joins) and the
+  // collectives queued behind it.
   ProcessGroup group(2);
   Communicator comm = group.communicator(0);
 
+  std::vector<std::vector<double>> data(5, std::vector<double>{1.0});
   std::vector<WorkPtr> works;
-  works.push_back(comm.submit([comm]() mutable { comm.recv(1, 9); }));
-  for (int i = 0; i < 4; ++i) {
-    works.push_back(comm.submit([] {}));  // queued, never reached
+  // The first blocks in recv; the rest queue behind it, never reached.
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    works.push_back(
+        async_ring_all_reduce(comm, std::span<double>(data[i]), 9 + i));
   }
   EXPECT_FALSE(works.front()->wait(0.02));
 
@@ -274,18 +304,28 @@ TEST(AsyncAbort, AbortCancelsPendingWorksWithoutHanging) {
   aborter.join();
   EXPECT_LT(seconds_since(start), 2.0);  // bounded unwind, no hang
 
-  // The progress thread survives the abort and submit is poisoned.
-  WorkPtr late = comm.submit([] {});
+  // The progress thread survives the abort and later collectives are
+  // poisoned.
+  std::vector<double> late_data{1.0};
+  WorkPtr late = async_ring_all_reduce(comm, std::span<double>(late_data), 20);
   EXPECT_THROW(late->wait(), CommAbortedError);
 }
 
 TEST(AsyncAbort, EngineSurvivesFailedOpsAndKeepsServing) {
-  ProcessGroup group(1);
-  Communicator comm = group.communicator(0);
-  WorkPtr bad = comm.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(bad->wait(), std::runtime_error);
-  WorkPtr good = comm.submit([] {});
-  EXPECT_TRUE(good->wait());
+  // Rank 0's first collective times out (its peer never joins it); the
+  // progress thread fails that Work and then serves the next one.
+  ProcessGroup group(2, /*timeout_seconds=*/0.25);
+  std::vector<double> lone{1.0};
+  WorkPtr bad =
+      async_ring_all_reduce(group.communicator(0), std::span<double>(lone), 1);
+  EXPECT_THROW(bad->wait(), CommTimeoutError);
+  std::vector<std::vector<double>> data(2, std::vector<double>{1.0});
+  run_ranks(group, [&](int rank, Communicator& comm) {
+    WorkPtr good = async_ring_all_reduce(
+        comm, std::span<double>(data[static_cast<std::size_t>(rank)]), 2);
+    EXPECT_TRUE(good->wait());
+  });
+  EXPECT_EQ(data[0], std::vector<double>{2.0});
 }
 
 // -------------------------------------------------------- TagAllocator

@@ -211,9 +211,9 @@ TEST(BucketizedWeightedAllReduce, EqualsSingleWeightedAllReduce) {
   const auto buckets = make_buckets(elements, 8);
   run_ranks(group, [&](int rank, Communicator& comm) {
     auto data = inputs[static_cast<std::size_t>(rank)];
-    bucketized_weighted_all_reduce(comm, std::span<double>(data),
-                                   weights[static_cast<std::size_t>(rank)],
-                                   buckets, 100);
+    BucketReducer(comm, std::span<double>(data),
+                  weights[static_cast<std::size_t>(rank)], buckets, 100)
+        .finish();
     for (std::size_t e = 0; e < elements; ++e) {
       EXPECT_NEAR(data[e], expected[e], 1e-10);
     }
@@ -225,8 +225,7 @@ TEST(BucketizedWeightedAllReduce, OutOfRangeBucketThrows) {
   Communicator comm = group.communicator(0);
   std::vector<double> data(4, 1.0);
   const std::vector<Bucket> bad{{2, 3}};
-  EXPECT_THROW(bucketized_weighted_all_reduce(comm, std::span<double>(data),
-                                              1.0, bad, 1),
+  EXPECT_THROW(BucketReducer(comm, std::span<double>(data), 1.0, bad, 1),
                std::out_of_range);
 }
 

@@ -134,9 +134,10 @@ TEST(CommFault, AbortPoisonsSubsequentCalls) {
   EXPECT_THROW(comm::broadcast(alone, data, 0, 2), comm::CommAbortedError);
   EXPECT_THROW(comm::all_gather(alone, data, 3), comm::CommAbortedError);
   const auto buckets = comm::make_buckets(data.size(), 2);
-  EXPECT_THROW(comm::bucketized_weighted_all_reduce(
-                   alone, std::span<double>(data), 1.0, buckets, 4),
-               comm::CommAbortedError);
+  EXPECT_THROW(
+      comm::BucketReducer(alone, std::span<double>(data), 1.0, buckets, 4)
+          .finish(),
+      comm::CommAbortedError);
 }
 
 TEST(CommFault, TimeoutDoesNotFireOnHealthyTraffic) {
