@@ -89,8 +89,10 @@ constexpr auto kOverlapComputePerBucket = std::chrono::microseconds(4000);
 double run_overlap_seconds(bool async, obs::Scope scope) {
   const auto buckets =
       comm::make_buckets(kOverlapBuckets * kOverlapElems, kOverlapElems);
-  comm::ProcessGroup group(kOverlapRanks);
-  group.set_fabric(sim::FabricModel::uniform_latency(kOverlapLinkLatency));
+  comm::GroupOptions options;
+  options.size = kOverlapRanks;
+  options.fabric = sim::FabricModel::uniform_latency(kOverlapLinkLatency);
+  comm::ProcessGroup group(options);
   if (scope.enabled()) group.set_scope(scope);
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
@@ -144,13 +146,13 @@ double time_gemm_seconds(dnn::kernels::KernelKind kind,
   const dnn::kernels::KernelBackend& backend = dnn::kernels::kernel(kind);
   // Warm the caches, then time a small batch of calls.
   backend.linear(a.data(), w.data(), nullptr, c.data(), kGemmDim, kGemmDim,
-                 kGemmDim, dnn::kernels::Activation::kNone, nullptr,
+                 kGemmDim, dnn::kernels::Activation::kNone,
                  std::pmr::get_default_resource());
   constexpr int kCalls = 4;
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kCalls; ++i) {
     backend.linear(a.data(), w.data(), nullptr, c.data(), kGemmDim, kGemmDim,
-                   kGemmDim, dnn::kernels::Activation::kNone, nullptr,
+                   kGemmDim, dnn::kernels::Activation::kNone,
                    std::pmr::get_default_resource());
   }
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -242,13 +244,12 @@ double time_conv_seconds(dnn::kernels::KernelKind kind) {
       const auto& s = kCifarConvs[i];
       Buffers& b = layers[i];
       backend.conv2d_forward(b.input.data(), b.weight.data(), b.bias.data(),
-                             b.out.data(), s, nullptr, arena.resource());
+                             b.out.data(), s, arena.resource());
       backend.conv2d_backward_params(b.input.data(), b.grad_out.data(),
                                      b.weight_grad.data(), b.bias_grad.data(),
-                                     s, nullptr, arena.resource());
+                                     s, arena.resource());
       backend.conv2d_backward_input(b.grad_out.data(), b.weight.data(),
-                                    b.grad_input.data(), s, nullptr,
-                                    arena.resource());
+                                    b.grad_input.data(), s, arena.resource());
     }
   };
   pass();  // warm the caches and the arena
@@ -274,9 +275,8 @@ StepBench run_train_steps(dnn::kernels::KernelKind kind, bool use_arena,
   Rng rng(1);
   model.init(rng);
   dnn::kernels::Arena arena;
-  const dnn::kernels::Context kctx{
-      &dnn::kernels::kernel(kind), nullptr,
-      use_arena ? arena.resource() : nullptr};
+  const dnn::kernels::Context kctx{&dnn::kernels::kernel(kind),
+                                   use_arena ? arena.resource() : nullptr};
   model.set_context(&kctx);
   dnn::Sgd sgd(0.9);
   std::vector<double> gradient(model.num_params(), 0.0);

@@ -16,8 +16,8 @@ RANKS="${2:-256}"
 cmake --preset default
 cmake --build --preset default -j "$(nproc)"
 
-# Deterministic invariants first: plan_delivery/quorum semantics, the
-# harness's replay determinism and schedule shrinking.
+# Deterministic invariants first: plan_delivery and LinkFaults
+# semantics, the harness's replay determinism and schedule shrinking.
 ctest --test-dir build -L chaos --output-on-failure -j "$(nproc)"
 
 # Then the sweep. BENCH_chaos.json (scenario throughput, recovery-time

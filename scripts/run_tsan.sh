@@ -31,14 +31,15 @@ ctest --test-dir build-tsan -L obs --output-on-failure -j "$(nproc)"
 # race-free, including the 1k/10k-rank scale tests.
 ctest --test-dir build-tsan -L scale --output-on-failure -j "$(nproc)"
 
-# Chaos fuzzing + partition tolerance: quorum all-reduce drives real
-# threads through the exclude/rescale protocol, and the lossy-link
-# trainer overlaps retried sends with compute -- both are tsan bait.
+# Chaos fuzzing + partition tolerance: the lossy-link trainer overlaps
+# retried sends with compute on real threads, and the harness drives
+# the event scheduler through crashes, cuts and checkpoint restores --
+# both are tsan bait.
 ctest --test-dir build-tsan -L chaos --output-on-failure -j "$(nproc)"
 
-# Compute kernels: the intra-rank thread pool (generation-counted
-# condition variable, caller-executes-chunk-0) plus the threaded
-# parity sweep across pool sizes is the newest shared-state surface.
+# DNN training: one thread per rank runs the kernels on its own arena
+# while its BucketReducer streams gradients to the comm progress
+# threads, and the trainer merges per-rank results under a mutex.
 ctest --test-dir build-tsan -L dnn --output-on-failure -j "$(nproc)"
 
 # Fleet scheduler: the determinism test (same trace + policy + seed

@@ -333,9 +333,9 @@ ChaosResult run_chaos_schedule(const ChaosConfig& config,
                                           fault.partition.end());
               soft_heal = std::max(soft_heal, fault.soft_heal_seconds);
             } else {
-              // Hard: the quorum decision -- exclude the minority for
-              // the partition's lifetime (the supervisor's elastic
-              // shrink), re-admit at heal_round.
+              // Hard: cut the partitioned members for the partition's
+              // lifetime (unless that would cut everyone), re-admit at
+              // heal_round.
               std::vector<int> cut;
               for (const int node : fault.partition) {
                 if (local_rank_of(state.members, node) >= 0) {

@@ -49,8 +49,8 @@ struct ChaosFault {
   /// kNetworkPartition: minority-side member ids.
   std::vector<int> partition;
   /// kNetworkPartition: heals mid-round at this virtual offset (> 0),
-  /// so bounded retries ride it out; <= 0 means a "hard" partition the
-  /// quorum excludes until heal_round.
+  /// so bounded retries ride it out; <= 0 means a "hard" partition
+  /// whose side is cut from the membership until heal_round.
   double soft_heal_seconds = 0.0;
   /// kNodeCrash: the whole training process dies with the node -- the
   /// harness must restore from the checkpoint store.
@@ -104,7 +104,7 @@ struct ChaosResult {
   std::uint64_t checksum = 0;  ///< hash of committed tensors, per round
 
   // -- robustness accounting -----------------------------------------
-  std::uint64_t exclusions = 0;      ///< members cut by quorum decisions
+  std::uint64_t exclusions = 0;      ///< members cut by hard partitions
   std::uint64_t rejoins = 0;         ///< members re-admitted after heal
   std::uint64_t restores = 0;        ///< checkpoint restores performed
   std::uint64_t corrupt_skipped = 0; ///< corrupt checkpoints CRC-skipped

@@ -63,7 +63,8 @@ enum class BackendKind {
   kEvent,   ///< discrete-event scheduler, virtual-time delays
 };
 
-/// How a ProcessGroup is built. The legacy (size, timeout) constructor
+/// How a ProcessGroup is built; the timeout, fabric and retry policy
+/// are fixed for the group's lifetime. ProcessGroup(size, timeout)
 /// maps onto {size, timeout, kThread, fabric-disabled}.
 struct GroupOptions {
   int size = 1;
@@ -77,9 +78,9 @@ struct GroupOptions {
   /// time.
   sim::FabricModel fabric;
   /// Bounded retry with exponential backoff + seeded jitter on
-  /// point-to-point sends. Default max_attempts = 1 keeps legacy
-  /// single-shot behaviour; a message whose budget is exhausted
-  /// vanishes, surfacing the receiver's CommTimeoutError.
+  /// point-to-point sends. Default max_attempts = 1 is single-shot; a
+  /// message whose budget is exhausted vanishes, surfacing the
+  /// receiver's CommTimeoutError.
   sim::RetryPolicy retry;
 };
 
@@ -99,19 +100,6 @@ struct RetryStats {
     if (plan.resends > 0) scope.counter_add("comm.retry.resends", plan.resends);
     if (!plan.delivered) scope.counter_add("comm.retry.dropped", 1);
   }
-};
-
-/// Quorum mode for all-reduce: instead of dying on unreachable ranks,
-/// a quorum-weighted all-reduce excludes them, rescales the surviving
-/// gradient weights by the surviving GNS share, and reports the
-/// exclusion so the supervisor can convert it into an elastic shrink.
-struct QuorumOptions {
-  bool enabled = false;
-  /// Minimum surviving ranks for the collective to proceed; <= 0 means
-  /// a strict majority (size / 2 + 1). Below quorum the collective
-  /// throws QuorumLostError (the minority side of a partition must not
-  /// keep training on stale gradients).
-  int min_quorum = 0;
 };
 
 /// Begin/end of one collective on one rank, in seconds. On the thread
@@ -162,19 +150,8 @@ class Backend {
 
   virtual BackendKind kind() const = 0;
 
-  virtual void set_timeout(double seconds) = 0;
-  virtual double timeout() const = 0;
-  virtual void set_fabric(const sim::FabricModel& fabric) = 0;
-  virtual void set_retry(const sim::RetryPolicy& retry) = 0;
   virtual RetryStats retry_stats() const = 0;
   virtual void set_scope(obs::Scope scope) = 0;
-
-  /// Best-effort reachability between two ranks *now*: false when the
-  /// group is aborted, either rank is known dead, or an active fabric
-  /// partition separates them. This is the ground-truth failure
-  /// detector the quorum mode consults; a real deployment would back it
-  /// with heartbeats.
-  virtual bool reachable(int a, int b) const = 0;
 
   /// Irreversibly poisons the backend: wakes every blocked operation
   /// with CommAbortedError, fails every pending Work, and makes all

@@ -378,8 +378,16 @@ struct EventBackend::Impl {
   // already-locked code paths (and to reject blocking calls).
   static thread_local Impl* tl_pump;
 
-  int size = 0;
-  std::atomic<double> timeout_seconds{0.0};
+  explicit Impl(const GroupOptions& options)
+      : size(options.size),
+        timeout_seconds(options.timeout_seconds),
+        fabric(options.fabric),
+        retry(options.retry) {}
+
+  const int size;
+  /// Wall seconds of scheduler idleness before a blocked call gives up;
+  /// <= 0 waits forever.
+  const double timeout_seconds;
   std::atomic<bool> aborted{false};
 
   mutable std::mutex mu;
@@ -392,8 +400,8 @@ struct EventBackend::Impl {
   Slab<Message> messages;
   double vnow = 0.0;
   std::uint64_t events = 0;
-  sim::FabricModel fabric;
-  sim::RetryPolicy retry;
+  const sim::FabricModel fabric;
+  const sim::RetryPolicy retry;
   /// Per-(src, dst) monotone message counter feeding plan_delivery's
   /// replayable drop/jitter hashes, keyed pack_ranks(src, dst). Hashed, not
   /// an n*n matrix: at 10k ranks only the O(n log n) tree edges appear.
@@ -507,10 +515,9 @@ struct EventBackend::Impl {
     const auto deadline =
         bounded ? WallClock::now() + wall_duration(explicit_timeout_seconds)
                 : WallClock::time_point{};
-    const double idle_seconds = timeout_seconds.load(std::memory_order_relaxed);
-    const bool idle_bounded = idle_seconds > 0.0;
+    const bool idle_bounded = timeout_seconds > 0.0;
     auto idle_deadline = idle_bounded
-                             ? WallClock::now() + wall_duration(idle_seconds)
+                             ? WallClock::now() + wall_duration(timeout_seconds)
                              : WallClock::time_point{};
     std::uint64_t seen = events;
     for (;;) {
@@ -528,12 +535,12 @@ struct EventBackend::Impl {
       const auto now = WallClock::now();
       if (events != seen) {
         seen = events;
-        if (idle_bounded) idle_deadline = now + wall_duration(idle_seconds);
+        if (idle_bounded) idle_deadline = now + wall_duration(timeout_seconds);
       }
       if (bounded && now >= deadline) return false;
       if (idle_bounded && now >= idle_deadline) {
         on_stall();
-        idle_deadline = now + wall_duration(idle_seconds);
+        idle_deadline = now + wall_duration(timeout_seconds);
         continue;
       }
       auto wake = WallClock::time_point::max();
@@ -832,13 +839,11 @@ struct EventBackend::Impl {
             for (std::uint32_t i = transport(r).stream.head; i != kNil;
                  i = machines[i].next) {
               if (machines[i].work.get() != &work) continue;
-              fail_timed_out_locked(
-                  i,
-                  "timed out after " +
-                      std::to_string(
-                          timeout_seconds.load(std::memory_order_relaxed)) +
-                      "s of scheduler idleness",
-                  "; peer dead or hung");
+              fail_timed_out_locked(i,
+                                    "timed out after " +
+                                        std::to_string(timeout_seconds) +
+                                        "s of scheduler idleness",
+                                    "; peer dead or hung");
               return;
             }
           }
@@ -876,13 +881,9 @@ thread_local EventBackend::Impl* EventBackend::Impl::tl_pump = nullptr;
 // --- EventBackend public surface ---
 
 EventBackend::EventBackend(const GroupOptions& options)
-    : impl_(std::make_unique<Impl>()) {
+    : impl_(std::make_unique<Impl>(options)) {
   Impl& b = *impl_;
   const auto n = static_cast<std::size_t>(options.size);
-  b.size = options.size;
-  b.timeout_seconds.store(options.timeout_seconds, std::memory_order_relaxed);
-  b.fabric = options.fabric;
-  b.retry = options.retry;
   b.dead.assign(n, 0);
   b.frames.resize(n);
   b.transports = std::make_unique<std::optional<Impl::RankTransport>[]>(n);
@@ -898,38 +899,8 @@ EventBackend::~EventBackend() {
   }
 }
 
-void EventBackend::set_timeout(double seconds) {
-  impl_->timeout_seconds.store(seconds, std::memory_order_relaxed);
-}
-
-double EventBackend::timeout() const {
-  return impl_->timeout_seconds.load(std::memory_order_relaxed);
-}
-
-void EventBackend::set_fabric(const sim::FabricModel& fabric) {
-  impl_->locked([&] { impl_->fabric = fabric; });
-}
-
-void EventBackend::set_retry(const sim::RetryPolicy& retry) {
-  impl_->locked([&] { impl_->retry = retry; });
-}
-
 RetryStats EventBackend::retry_stats() const {
   return impl_->locked([&] { return impl_->retry_totals; });
-}
-
-bool EventBackend::reachable(int a, int b) const {
-  if (aborted()) return false;
-  Impl& impl = *impl_;
-  const auto check = [&impl, a, b] {
-    if (a < 0 || b < 0 || a >= impl.size || b >= impl.size) return false;
-    if (impl.dead[static_cast<std::size_t>(a)] ||
-        impl.dead[static_cast<std::size_t>(b)]) {
-      return false;
-    }
-    return !impl.fabric.faults.partitioned(a, b, impl.vnow);
-  };
-  return impl.locked(check);
 }
 
 void EventBackend::set_scope(obs::Scope scope) {
@@ -984,9 +955,7 @@ Payload EventBackend::recv(int dst, int src, std::uint64_t tag,
         [&] {
           throw CommTimeoutError(
               std::string(op) + ": rank " + std::to_string(dst) +
-              " timed out after " +
-              std::to_string(
-                  b.timeout_seconds.load(std::memory_order_relaxed)) +
+              " timed out after " + std::to_string(b.timeout_seconds) +
               "s waiting for message (src=" + std::to_string(src) +
               ", tag=" + std::to_string(tag) + "); peer dead or hung");
         },
@@ -1037,9 +1006,7 @@ void EventBackend::barrier(int rank) {
         --b.barrier_waiting;
         throw CommTimeoutError(
             "barrier: rank " + std::to_string(rank) + " timed out after " +
-            std::to_string(
-                b.timeout_seconds.load(std::memory_order_relaxed)) +
-            "s; some rank never arrived");
+            std::to_string(b.timeout_seconds) + "s; some rank never arrived");
       },
       "barrier", rank);
 }

@@ -69,13 +69,8 @@ class EventBackend final : public Backend {
 
   BackendKind kind() const override { return BackendKind::kEvent; }
 
-  void set_timeout(double seconds) override;
-  double timeout() const override;
-  void set_fabric(const sim::FabricModel& fabric) override;
-  void set_retry(const sim::RetryPolicy& retry) override;
   RetryStats retry_stats() const override;
   void set_scope(obs::Scope scope) override;
-  bool reachable(int a, int b) const override;
 
   void abort() override;
   bool aborted() const override;

@@ -39,36 +39,7 @@ ProcessGroup::~ProcessGroup() {
   backend_->abort();
 }
 
-void ProcessGroup::set_timeout(double timeout_seconds) {
-  backend_->set_timeout(timeout_seconds);
-}
-
-double ProcessGroup::timeout() const { return backend_->timeout(); }
-
-void ProcessGroup::set_fabric(const sim::FabricModel& fabric) {
-  backend_->set_fabric(fabric);
-}
-
-void ProcessGroup::set_retry(const sim::RetryPolicy& retry) {
-  backend_->set_retry(retry);
-}
-
 RetryStats ProcessGroup::retry_stats() const { return backend_->retry_stats(); }
-
-bool ProcessGroup::reachable(int a, int b) const {
-  if (a < 0 || a >= size_ || b < 0 || b >= size_) return false;
-  return backend_->reachable(a, b);
-}
-
-std::vector<int> ProcessGroup::reachable_ranks(int from) const {
-  std::vector<int> out;
-  if (from < 0 || from >= size_) return out;
-  out.reserve(static_cast<std::size_t>(size_));
-  for (int r = 0; r < size_; ++r) {
-    if (r == from || backend_->reachable(from, r)) out.push_back(r);
-  }
-  return out;
-}
 
 void ProcessGroup::set_scope(obs::Scope scope) {
   scope_ = scope;

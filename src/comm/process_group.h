@@ -16,17 +16,18 @@
 // The API is backend-independent: Communicator send/recv/barrier and
 // the async_* collectives (collectives.h) behave identically, message
 // tags come from the per-rank deterministic TagAllocator either way,
-// and the same sim::FabricModel supplies delivery delays to both
-// backends (set_fabric).
+// and the same sim::FabricModel (GroupOptions::fabric) supplies
+// delivery delays to both backends.
 //
 // Fault tolerance (mirroring the NCCL watchdog / comm-abort protocol
-// real DDP relies on): the group carries an optional timeout applied to
-// every blocking receive and barrier, and an abort() that wakes every
-// blocked rank, fails every pending Work and poisons all subsequent
-// calls. A worker that dies mid-collective therefore converts a
-// would-be deadlock into a CommTimeoutError on its peers within the
-// configured deadline; the first peer to notice calls abort() and the
-// whole group unwinds with CommAbortedError instead of hanging.
+// real DDP relies on): the group carries an optional timeout, fixed at
+// construction, applied to every blocking receive and barrier, and an
+// abort() that wakes every blocked rank, fails every pending Work and
+// poisons all subsequent calls. A worker that dies mid-collective
+// therefore converts a would-be deadlock into a CommTimeoutError on its
+// peers within the configured deadline; the first peer to notice calls
+// abort() and the whole group unwinds with CommAbortedError instead of
+// hanging.
 #pragma once
 
 #include <cstdint>
@@ -46,12 +47,13 @@ class EventBackend;
 /// Thread-safe: each rank's Communicator may be driven by its own thread.
 class ProcessGroup {
  public:
-  /// Legacy constructor: thread backend, no fabric delays.
-  /// `timeout_seconds` <= 0 disables the deadline (legacy blocking
-  /// behaviour); a positive value bounds every recv()/barrier().
+  /// Thread backend, no fabric delays. `timeout_seconds` <= 0
+  /// disables the deadline; a positive value bounds every
+  /// recv()/barrier().
   explicit ProcessGroup(int size, double timeout_seconds = 0.0);
 
-  /// Full constructor: backend and network model chosen via options.
+  /// Backend, timeout, network model and retry policy chosen via
+  /// options, fixed for the group's lifetime.
   explicit ProcessGroup(const GroupOptions& options);
 
   /// Aborts (failing any still-pending Works) and tears the backend
@@ -65,32 +67,9 @@ class ProcessGroup {
 
   int size() const { return size_; }
 
-  /// Deadline applied to blocking operations; set before spawning the
-  /// worker threads that drive the communicators.
-  void set_timeout(double timeout_seconds);
-  double timeout() const;
-
-  /// Full per-pair network model shared by both backends (latency +
-  /// bytes/bandwidth, intra-server links via FabricModel::groups,
-  /// lossy-link faults via FabricModel::faults).
-  void set_fabric(const sim::FabricModel& fabric);
-
-  /// Bounded retry/backoff policy for point-to-point sends (see
-  /// sim::RetryPolicy). Default is single-shot.
-  void set_retry(const sim::RetryPolicy& retry);
+  /// Retries and drops of point-to-point sends so far (see
+  /// GroupOptions::retry).
   RetryStats retry_stats() const;
-
-  /// Quorum mode for quorum_weighted_all_reduce (quorum.h): excluded
-  /// unreachable ranks instead of dying. Off by default.
-  void set_quorum(const QuorumOptions& quorum) { quorum_ = quorum; }
-  const QuorumOptions& quorum() const { return quorum_; }
-
-  /// Best-effort reachability between two ranks now (backend failure
-  /// detector: abort, dead ranks, active partitions).
-  bool reachable(int a, int b) const;
-
-  /// Ranks currently reachable from `from`, `from` included, ascending.
-  std::vector<int> reachable_ranks(int from) const;
 
   /// Attaches an instrumentation scope to the group: every rank's comm
   /// operations are traced onto row obs::kCommTidBase + rank (virtual
@@ -131,8 +110,7 @@ class ProcessGroup {
   Payload recv(int dst, int src, std::uint64_t tag, const char* op);
 
   int size_;
-  obs::Scope scope_;        ///< set before workers spawn
-  QuorumOptions quorum_{};  ///< set before workers spawn
+  obs::Scope scope_;  ///< set before workers spawn
   std::vector<TagAllocator> tag_allocators_;
   std::unique_ptr<Backend> backend_;
 };

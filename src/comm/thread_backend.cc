@@ -135,33 +135,14 @@ ThreadBackend::~ThreadBackend() {
   engines_.clear();  // joins the progress threads
 }
 
-void ThreadBackend::set_fabric(const sim::FabricModel& fabric) {
-  std::lock_guard<std::mutex> lock(fabric_mutex_);
-  fabric_ = fabric;
-}
-
-void ThreadBackend::set_retry(const sim::RetryPolicy& retry) {
-  std::lock_guard<std::mutex> lock(fabric_mutex_);
-  retry_ = retry;
-}
-
 RetryStats ThreadBackend::retry_stats() const {
-  std::lock_guard<std::mutex> lock(fabric_mutex_);
+  std::lock_guard<std::mutex> lock(send_mutex_);
   return retry_stats_;
-}
-
-bool ThreadBackend::reachable(int a, int b) const {
-  if (aborted()) return false;
-  std::lock_guard<std::mutex> lock(fabric_mutex_);
-  const double now = std::chrono::duration<double>(
-                         detail::Clock::now() - epoch_)
-                         .count();
-  return !fabric_.faults.partitioned(a, b, now);
 }
 
 void ThreadBackend::set_scope(obs::Scope scope) {
   {
-    std::lock_guard<std::mutex> lock(fabric_mutex_);
+    std::lock_guard<std::mutex> lock(send_mutex_);
     retry_scope_ = scope;
   }
   std::lock_guard<std::mutex> lock(engines_mutex_);
@@ -228,7 +209,7 @@ void ThreadBackend::send(int src, int dst, std::uint64_t tag, Payload payload,
   sim::DeliveryPlan plan;
   double now = 0.0;
   {
-    std::lock_guard<std::mutex> lock(fabric_mutex_);
+    std::lock_guard<std::mutex> lock(send_mutex_);
     now = std::chrono::duration<double>(now_tp - epoch_).count();
     const std::uint64_t seq =
         fabric_.faults.any() ? pair_seq_[{src, dst}]++ : 0;

@@ -63,13 +63,8 @@ class ThreadBackend final : public Backend {
 
   BackendKind kind() const override { return BackendKind::kThread; }
 
-  void set_timeout(double seconds) override { timeout_seconds_ = seconds; }
-  double timeout() const override { return timeout_seconds_; }
-  void set_fabric(const sim::FabricModel& fabric) override;
-  void set_retry(const sim::RetryPolicy& retry) override;
   RetryStats retry_stats() const override;
   void set_scope(obs::Scope scope) override;
-  bool reachable(int a, int b) const override;
 
   void abort() override;
   bool aborted() const override {
@@ -87,25 +82,25 @@ class ThreadBackend final : public Backend {
   /// The comm progress thread for `rank` (created on first use).
   ProgressEngine& engine(int rank);
 
-  int size_;
-  double timeout_seconds_ = 0.0;
+  const int size_;
+  const double timeout_seconds_;
   obs::Scope scope_;  ///< guarded by engines_mutex_
   std::atomic<bool> aborted_{false};
   std::vector<std::unique_ptr<detail::Mailbox>> mailboxes_;
 
-  // Fabric + retry state guarded by fabric_mutex_ (set before workers
-  // spawn; the lock makes a late set_fabric safe rather than racy).
-  // LinkFaults timestamps are wall seconds since `epoch_`, matching the
-  // clock plan_delivery sees.
-  mutable std::mutex fabric_mutex_;
-  sim::FabricModel fabric_;
-  sim::RetryPolicy retry_;
+  // The delivery model, fixed at construction. LinkFaults timestamps
+  // are wall seconds since `epoch_`, matching the clock plan_delivery
+  // sees.
+  const sim::FabricModel fabric_;
+  const sim::RetryPolicy retry_;
+  const std::chrono::steady_clock::time_point epoch_;
+  // Send-path state, guarded by send_mutex_.
+  mutable std::mutex send_mutex_;
   /// Per-(src, dst) message counter for plan_delivery; counts only
   /// messages sent while the fabric is lossy, the only case that reads it.
   std::map<std::pair<int, int>, std::uint64_t> pair_seq_;
   RetryStats retry_stats_;
   obs::Scope retry_scope_;  ///< copy of scope_ for the send path
-  std::chrono::steady_clock::time_point epoch_;
 
   // Per-rank progress engines, created lazily under engines_mutex_.
   std::mutex engines_mutex_;

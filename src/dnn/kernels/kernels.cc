@@ -1,7 +1,6 @@
 #include "dnn/kernels/kernels.h"
 
 #include "dnn/kernels/backends.h"
-#include "dnn/kernels/thread_pool.h"
 
 namespace cannikin::dnn::kernels {
 
@@ -25,12 +24,8 @@ const char* kernel_kind_name(KernelKind kind) {
   return "naive";
 }
 
-bool Context::deterministic() const {
-  return pool == nullptr || pool->size() <= 1;
-}
-
 const Context& default_context() {
-  static const Context ctx{};  // naive backend, serial, heap memory
+  static const Context ctx{};  // naive backend, heap memory
   return ctx;
 }
 

@@ -5,27 +5,20 @@
 //                   reference semantics (and the reference the parity
 //                   fuzzer checks against).
 //   * kOptimized -- cache-blocked, vectorization-friendly loops with
-//                   fused linear+bias+activation epilogues, register-
-//                   tiled convolutions and optional intra-rank
-//                   threading.
+//                   fused linear+bias+activation epilogues and
+//                   register-tiled convolutions.
 //
-// Determinism contract (see DESIGN.md "Compute kernels"): on the
-// serial path the optimized kernels preserve the naive per-element
-// accumulation order exactly, so results are BITWISE identical to the
-// reference -- flipping the backend never changes a training
-// trajectory. The threaded path partitions rows statically with
-// disjoint outputs and the same per-element order, so it is bitwise
-// stable across thread counts too; the documented contract still only
-// promises <= 2 ulp there, leaving room for future kernels that trade
-// exact order for speed.
+// Determinism contract (see DESIGN.md "Compute kernels"): the
+// optimized kernels preserve the naive per-element accumulation order
+// exactly, so results are BITWISE identical to the reference --
+// flipping the backend never changes a training trajectory. Every op
+// runs serially on the calling rank thread.
 #pragma once
 
 #include <cstddef>
 #include <memory_resource>
 
 namespace cannikin::dnn::kernels {
-
-class ThreadPool;
 
 /// Activation fused into Linear's epilogue (and used standalone by the
 /// elementwise layers).
@@ -51,8 +44,8 @@ class KernelBackend {
 
   /// C(m,n) = A(m,k) * B(k,n); C is overwritten.
   virtual void matmul_nn(const double* a, const double* b, double* c,
-                         std::size_t m, std::size_t k, std::size_t n,
-                         ThreadPool* pool) const = 0;
+                         std::size_t m, std::size_t k,
+                         std::size_t n) const = 0;
 
   /// C(m,n) = act(A(m,k) * W(n,k)^T [+ bias]); C is overwritten.
   /// bias (length n) may be null; act == kNone with null bias is a
@@ -61,37 +54,35 @@ class KernelBackend {
   /// is threaded through).
   virtual void linear(const double* a, const double* w, const double* bias,
                       double* c, std::size_t m, std::size_t k, std::size_t n,
-                      Activation act, ThreadPool* pool,
+                      Activation act,
                       std::pmr::memory_resource* scratch) const = 0;
 
   /// C(m,n) += A(k,m)^T * B(k,n)  (accumulating transposed_matmul; the
   /// Linear weight-gradient update).
   virtual void matmul_tn_acc(const double* a, const double* b, double* c,
-                             std::size_t m, std::size_t k, std::size_t n,
-                             ThreadPool* pool) const = 0;
+                             std::size_t m, std::size_t k,
+                             std::size_t n) const = 0;
 
   /// out[j] += sum_r a(r,j) over an (m,n) matrix (bias gradient).
   virtual void col_sum_acc(const double* a, double* out, std::size_t m,
-                           std::size_t n, ThreadPool* pool) const = 0;
+                           std::size_t n) const = 0;
 
   /// y = act(x) elementwise over count values (kNone copies).
   virtual void activation_forward(Activation act, const double* x, double* y,
-                                  std::size_t count,
-                                  ThreadPool* pool) const = 0;
+                                  std::size_t count) const = 0;
 
   /// dx = dy * act'(y) where y is the cached *post*-activation output
   /// (kReLU: y <= 0 gates; kTanh: 1 - y^2; kNone copies dy).
   virtual void activation_backward(Activation act, const double* y,
                                    const double* dy, double* dx,
-                                   std::size_t count,
-                                   ThreadPool* pool) const = 0;
+                                   std::size_t count) const = 0;
 
   /// out = conv(input, weight) + bias; out is overwritten. Each output
   /// element sums bias first, then its (ic, ky, kx) terms ascending,
   /// with out-of-bounds input cells read as 0.0. `scratch` as in linear.
   virtual void conv2d_forward(const double* input, const double* weight,
                               const double* bias, double* out,
-                              const ConvShape& shape, ThreadPool* pool,
+                              const ConvShape& shape,
                               std::pmr::memory_resource* scratch) const = 0;
 
   /// weight_grad += dL/dW and bias_grad += dL/db, accumulating onto
@@ -101,7 +92,7 @@ class KernelBackend {
   virtual void conv2d_backward_params(const double* input,
                                       const double* grad_out,
                                       double* weight_grad, double* bias_grad,
-                                      const ConvShape& shape, ThreadPool* pool,
+                                      const ConvShape& shape,
                                       std::pmr::memory_resource* scratch)
       const = 0;
 
@@ -110,22 +101,21 @@ class KernelBackend {
   /// zero grad_out values.
   virtual void conv2d_backward_input(const double* grad_out,
                                      const double* weight, double* grad_input,
-                                     const ConvShape& shape, ThreadPool* pool,
+                                     const ConvShape& shape,
                                      std::pmr::memory_resource* scratch)
       const = 0;
 
   /// SGD with momentum and (coupled) weight decay, in place.
   virtual void sgd_step(double* params, const double* grads, double* velocity,
                         std::size_t count, double lr, double momentum,
-                        double weight_decay, ThreadPool* pool) const = 0;
+                        double weight_decay) const = 0;
 
   /// Adam/AdamW in place; bc1/bc2 are the bias-correction denominators
   /// 1 - beta^t, `decoupled` selects AdamW-style weight decay.
   virtual void adam_step(double* params, const double* grads, double* m,
                          double* v, std::size_t count, double lr, double beta1,
                          double beta2, double bc1, double bc2, double eps,
-                         double weight_decay, bool decoupled,
-                         ThreadPool* pool) const = 0;
+                         double weight_decay, bool decoupled) const = 0;
 };
 
 /// Process-lifetime singleton for each kind.
@@ -133,12 +123,10 @@ const KernelBackend& kernel(KernelKind kind);
 const char* kernel_kind_name(KernelKind kind);
 
 /// Execution context threaded through Tensor/layers/loss/optimizer: the
-/// backend, the intra-rank pool (null = serial) and the workspace
-/// memory resource (null = heap). One per rank thread; borrowed, never
-/// owned by the layers it is handed to.
+/// backend and the workspace memory resource (null = heap). One per
+/// rank thread; borrowed, never owned by the layers it is handed to.
 struct Context {
   const KernelBackend* backend = nullptr;  ///< null = naive reference
-  ThreadPool* pool = nullptr;
   std::pmr::memory_resource* memory = nullptr;
 
   const KernelBackend& k() const {
@@ -147,12 +135,9 @@ struct Context {
   std::pmr::memory_resource* resource() const {
     return memory != nullptr ? memory : std::pmr::get_default_resource();
   }
-  /// True when execution is single-threaded, i.e. the bitwise-exact
-  /// deterministic tier.
-  bool deterministic() const;
 };
 
-/// Naive backend, serial, heap memory -- the reference semantics every
+/// Naive backend, heap memory -- the reference semantics every
 /// layer falls back to when no context is attached.
 const Context& default_context();
 

@@ -9,7 +9,6 @@
 #include <cstring>
 
 #include "dnn/kernels/backends.h"
-#include "dnn/kernels/thread_pool.h"
 
 namespace cannikin::dnn::kernels {
 namespace {
@@ -19,8 +18,7 @@ class NaiveKernel final : public KernelBackend {
   const char* name() const override { return "naive"; }
 
   void matmul_nn(const double* a, const double* b, double* c, std::size_t m,
-                 std::size_t k, std::size_t n,
-                 ThreadPool* /*pool*/) const override {
+                 std::size_t k, std::size_t n) const override {
     std::memset(c, 0, m * n * sizeof(double));
     for (std::size_t r = 0; r < m; ++r) {
       for (std::size_t kk = 0; kk < k; ++kk) {
@@ -35,7 +33,6 @@ class NaiveKernel final : public KernelBackend {
 
   void linear(const double* a, const double* w, const double* bias, double* c,
               std::size_t m, std::size_t k, std::size_t n, Activation act,
-              ThreadPool* /*pool*/,
               std::pmr::memory_resource* /*scratch*/) const override {
     for (std::size_t r = 0; r < m; ++r) {
       for (std::size_t col = 0; col < n; ++col) {
@@ -50,8 +47,8 @@ class NaiveKernel final : public KernelBackend {
   }
 
   void matmul_tn_acc(const double* a, const double* b, double* c,
-                     std::size_t m, std::size_t k, std::size_t n,
-                     ThreadPool* /*pool*/) const override {
+                     std::size_t m, std::size_t k,
+                     std::size_t n) const override {
     for (std::size_t kk = 0; kk < k; ++kk) {
       const double* arow = a + kk * m;
       const double* brow = b + kk * n;
@@ -64,8 +61,8 @@ class NaiveKernel final : public KernelBackend {
     }
   }
 
-  void col_sum_acc(const double* a, double* out, std::size_t m, std::size_t n,
-                   ThreadPool* /*pool*/) const override {
+  void col_sum_acc(const double* a, double* out, std::size_t m,
+                   std::size_t n) const override {
     for (std::size_t r = 0; r < m; ++r) {
       const double* arow = a + r * n;
       for (std::size_t col = 0; col < n; ++col) out[col] += arow[col];
@@ -73,14 +70,12 @@ class NaiveKernel final : public KernelBackend {
   }
 
   void activation_forward(Activation act, const double* x, double* y,
-                          std::size_t count,
-                          ThreadPool* /*pool*/) const override {
+                          std::size_t count) const override {
     for (std::size_t i = 0; i < count; ++i) y[i] = apply(act, x[i]);
   }
 
   void activation_backward(Activation act, const double* y, const double* dy,
-                           double* dx, std::size_t count,
-                           ThreadPool* /*pool*/) const override {
+                           double* dx, std::size_t count) const override {
     switch (act) {
       case Activation::kNone:
         for (std::size_t i = 0; i < count; ++i) dx[i] = dy[i];
@@ -101,12 +96,9 @@ class NaiveKernel final : public KernelBackend {
     }
   }
 
-  // The three conv ops are Conv2d's original loops. They are the only
-  // naive ops that take the pool: partitions are disjoint and every
-  // accumulator keeps its order, so threading is bitwise neutral.
+  // The three conv ops are Conv2d's original loops.
   void conv2d_forward(const double* input, const double* weight,
                       const double* bias, double* out, const ConvShape& s,
-                      ThreadPool* pool,
                       std::pmr::memory_resource* /*scratch*/) const override {
     const std::size_t batch = s.batch, in_c = s.in_c, out_c = s.out_c,
                       h = s.h, w = s.w, k = s.k, pad = s.pad;
@@ -119,117 +111,110 @@ class NaiveKernel final : public KernelBackend {
       return input[((n * in_c + c) * h + static_cast<std::size_t>(y)) * w +
                    static_cast<std::size_t>(x)];
     };
-    for_range(pool, batch, 1, [&](std::size_t nb, std::size_t ne) {
-      for (std::size_t n = nb; n < ne; ++n) {
-        for (std::size_t oc = 0; oc < out_c; ++oc) {
-          for (std::size_t oy = 0; oy < oh; ++oy) {
-            for (std::size_t ox = 0; ox < ow; ++ox) {
-              double total = bias[oc];
-              for (std::size_t ic = 0; ic < in_c; ++ic) {
-                for (std::size_t ky = 0; ky < k; ++ky) {
-                  for (std::size_t kx = 0; kx < k; ++kx) {
-                    total += weight[((oc * in_c + ic) * k + ky) * k + kx] *
-                             in_at(n, ic,
-                                   static_cast<long>(oy + ky) -
-                                       static_cast<long>(pad),
-                                   static_cast<long>(ox + kx) -
-                                       static_cast<long>(pad));
-                  }
+    for (std::size_t n = 0; n < batch; ++n) {
+      for (std::size_t oc = 0; oc < out_c; ++oc) {
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            double total = bias[oc];
+            for (std::size_t ic = 0; ic < in_c; ++ic) {
+              for (std::size_t ky = 0; ky < k; ++ky) {
+                for (std::size_t kx = 0; kx < k; ++kx) {
+                  total += weight[((oc * in_c + ic) * k + ky) * k + kx] *
+                           in_at(n, ic,
+                                 static_cast<long>(oy + ky) -
+                                     static_cast<long>(pad),
+                                 static_cast<long>(ox + kx) -
+                                     static_cast<long>(pad));
                 }
               }
-              out[((n * out_c + oc) * oh + oy) * ow + ox] = total;
             }
+            out[((n * out_c + oc) * oh + oy) * ow + ox] = total;
           }
         }
       }
-    });
+    }
   }
 
   void conv2d_backward_params(const double* input, const double* grad_out,
                               double* weight_grad, double* bias_grad,
-                              const ConvShape& s, ThreadPool* pool,
+                              const ConvShape& s,
                               std::pmr::memory_resource* /*scratch*/)
       const override {
     const std::size_t batch = s.batch, in_c = s.in_c, out_c = s.out_c,
                       h = s.h, w = s.w, k = s.k, pad = s.pad;
     const std::size_t oh = s.oh(), ow = s.ow();
-    for_range(pool, out_c, 1, [&](std::size_t ocb, std::size_t oce) {
-      for (std::size_t oc = ocb; oc < oce; ++oc) {
-        for (std::size_t n = 0; n < batch; ++n) {
-          for (std::size_t oy = 0; oy < oh; ++oy) {
-            for (std::size_t ox = 0; ox < ow; ++ox) {
-              const double g = grad_out[((n * out_c + oc) * oh + oy) * ow + ox];
-              if (g == 0.0) continue;
-              bias_grad[oc] += g;
-              for (std::size_t ic = 0; ic < in_c; ++ic) {
-                for (std::size_t ky = 0; ky < k; ++ky) {
-                  const long y =
-                      static_cast<long>(oy + ky) - static_cast<long>(pad);
-                  if (y < 0 || y >= static_cast<long>(h)) continue;
-                  for (std::size_t kx = 0; kx < k; ++kx) {
-                    const long x =
-                        static_cast<long>(ox + kx) - static_cast<long>(pad);
-                    if (x < 0 || x >= static_cast<long>(w)) continue;
-                    const std::size_t in_idx =
-                        ((n * in_c + ic) * h + static_cast<std::size_t>(y)) *
-                            w +
-                        static_cast<std::size_t>(x);
-                    weight_grad[((oc * in_c + ic) * k + ky) * k + kx] +=
-                        g * input[in_idx];
-                  }
+    for (std::size_t oc = 0; oc < out_c; ++oc) {
+      for (std::size_t n = 0; n < batch; ++n) {
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            const double g = grad_out[((n * out_c + oc) * oh + oy) * ow + ox];
+            if (g == 0.0) continue;
+            bias_grad[oc] += g;
+            for (std::size_t ic = 0; ic < in_c; ++ic) {
+              for (std::size_t ky = 0; ky < k; ++ky) {
+                const long y =
+                    static_cast<long>(oy + ky) - static_cast<long>(pad);
+                if (y < 0 || y >= static_cast<long>(h)) continue;
+                for (std::size_t kx = 0; kx < k; ++kx) {
+                  const long x =
+                      static_cast<long>(ox + kx) - static_cast<long>(pad);
+                  if (x < 0 || x >= static_cast<long>(w)) continue;
+                  const std::size_t in_idx =
+                      ((n * in_c + ic) * h + static_cast<std::size_t>(y)) *
+                          w +
+                      static_cast<std::size_t>(x);
+                  weight_grad[((oc * in_c + ic) * k + ky) * k + kx] +=
+                      g * input[in_idx];
                 }
               }
             }
           }
         }
       }
-    });
+    }
   }
 
   void conv2d_backward_input(const double* grad_out, const double* weight,
                              double* grad_input, const ConvShape& s,
-                             ThreadPool* pool,
                              std::pmr::memory_resource* /*scratch*/)
       const override {
     const std::size_t batch = s.batch, in_c = s.in_c, out_c = s.out_c,
                       h = s.h, w = s.w, k = s.k, pad = s.pad;
     const std::size_t oh = s.oh(), ow = s.ow();
     std::memset(grad_input, 0, batch * in_c * h * w * sizeof(double));
-    for_range(pool, batch, 1, [&](std::size_t nb, std::size_t ne) {
-      for (std::size_t n = nb; n < ne; ++n) {
-        for (std::size_t oc = 0; oc < out_c; ++oc) {
-          for (std::size_t oy = 0; oy < oh; ++oy) {
-            for (std::size_t ox = 0; ox < ow; ++ox) {
-              const double g = grad_out[((n * out_c + oc) * oh + oy) * ow + ox];
-              if (g == 0.0) continue;
-              for (std::size_t ic = 0; ic < in_c; ++ic) {
-                for (std::size_t ky = 0; ky < k; ++ky) {
-                  const long y =
-                      static_cast<long>(oy + ky) - static_cast<long>(pad);
-                  if (y < 0 || y >= static_cast<long>(h)) continue;
-                  for (std::size_t kx = 0; kx < k; ++kx) {
-                    const long x =
-                        static_cast<long>(ox + kx) - static_cast<long>(pad);
-                    if (x < 0 || x >= static_cast<long>(w)) continue;
-                    const std::size_t in_idx =
-                        ((n * in_c + ic) * h + static_cast<std::size_t>(y)) *
-                            w +
-                        static_cast<std::size_t>(x);
-                    grad_input[in_idx] +=
-                        g * weight[((oc * in_c + ic) * k + ky) * k + kx];
-                  }
+    for (std::size_t n = 0; n < batch; ++n) {
+      for (std::size_t oc = 0; oc < out_c; ++oc) {
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            const double g = grad_out[((n * out_c + oc) * oh + oy) * ow + ox];
+            if (g == 0.0) continue;
+            for (std::size_t ic = 0; ic < in_c; ++ic) {
+              for (std::size_t ky = 0; ky < k; ++ky) {
+                const long y =
+                    static_cast<long>(oy + ky) - static_cast<long>(pad);
+                if (y < 0 || y >= static_cast<long>(h)) continue;
+                for (std::size_t kx = 0; kx < k; ++kx) {
+                  const long x =
+                      static_cast<long>(ox + kx) - static_cast<long>(pad);
+                  if (x < 0 || x >= static_cast<long>(w)) continue;
+                  const std::size_t in_idx =
+                      ((n * in_c + ic) * h + static_cast<std::size_t>(y)) *
+                          w +
+                      static_cast<std::size_t>(x);
+                  grad_input[in_idx] +=
+                      g * weight[((oc * in_c + ic) * k + ky) * k + kx];
                 }
               }
             }
           }
         }
       }
-    });
+    }
   }
 
   void sgd_step(double* params, const double* grads, double* velocity,
                 std::size_t count, double lr, double momentum,
-                double weight_decay, ThreadPool* /*pool*/) const override {
+                double weight_decay) const override {
     for (std::size_t i = 0; i < count; ++i) {
       const double g = grads[i] + weight_decay * params[i];
       velocity[i] = momentum * velocity[i] + g;
@@ -240,7 +225,7 @@ class NaiveKernel final : public KernelBackend {
   void adam_step(double* params, const double* grads, double* m, double* v,
                  std::size_t count, double lr, double beta1, double beta2,
                  double bc1, double bc2, double eps, double weight_decay,
-                 bool decoupled, ThreadPool* /*pool*/) const override {
+                 bool decoupled) const override {
     for (std::size_t i = 0; i < count; ++i) {
       double g = grads[i];
       if (!decoupled) g += weight_decay * params[i];

@@ -21,14 +21,13 @@
 #include <memory_resource>
 
 #include "dnn/kernels/backends.h"
-#include "dnn/kernels/thread_pool.h"
 
 namespace cannikin::dnn::kernels {
 namespace {
 
 constexpr std::size_t kRowBlock = 8;   // output rows per L1-resident tile
 constexpr std::size_t kKBlock = 16;    // k depth per tile
-constexpr std::size_t kRowGrain = 4;   // min rows per pool chunk
+constexpr std::size_t kPackRows = 4;   // min rows for linear to pack W
 
 double apply(Activation act, double x) {
   switch (act) {
@@ -93,15 +92,8 @@ constexpr std::size_t kTileLanes = 8;
 constexpr std::size_t kConvTile = kTileLanes * kLaneWidth;
 
 // Samples whose patches the weight gradient gathers at a time: bounds
-// its scratch while still amortizing each pool dispatch.
+// its scratch.
 constexpr std::size_t kPatchBlock = 4;
-
-// Scratch slots for a loop over samples: one per sample when the pool
-// may run samples concurrently, else one slot that each sample reuses.
-// Sample n uses slot n % slots.
-std::size_t sample_slots(const ThreadPool* pool, std::size_t batch) {
-  return pool != nullptr && pool->size() > 1 ? batch : 1;
-}
 
 std::size_t round_up(std::size_t n, std::size_t multiple) {
   return (n + multiple - 1) / multiple * multiple;
@@ -161,36 +153,32 @@ class OptimizedKernel final : public KernelBackend {
   const char* name() const override { return "optimized"; }
 
   void matmul_nn(const double* a, const double* b, double* c, std::size_t m,
-                 std::size_t k, std::size_t n,
-                 ThreadPool* pool) const override {
-    for_range(pool, m, kRowGrain, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t r0 = begin; r0 < end; r0 += kRowBlock) {
-        const std::size_t r1 = std::min(end, r0 + kRowBlock);
-        std::fill(c + r0 * n, c + r1 * n, 0.0);
-        for (std::size_t kb = 0; kb < k; kb += kKBlock) {
-          const std::size_t ke = std::min(k, kb + kKBlock);
-          for (std::size_t r = r0; r < r1; ++r) {
-            const double* arow = a + r * k;
-            double* crow = c + r * n;
-            for (std::size_t kk = kb; kk < ke; ++kk) {
-              const double v = arow[kk];
-              if (v == 0.0) continue;
-              const double* brow = b + kk * n;
-              for (std::size_t col = 0; col < n; ++col) {
-                crow[col] += v * brow[col];
-              }
+                 std::size_t k, std::size_t n) const override {
+    for (std::size_t r0 = 0; r0 < m; r0 += kRowBlock) {
+      const std::size_t r1 = std::min(m, r0 + kRowBlock);
+      std::fill(c + r0 * n, c + r1 * n, 0.0);
+      for (std::size_t kb = 0; kb < k; kb += kKBlock) {
+        const std::size_t ke = std::min(k, kb + kKBlock);
+        for (std::size_t r = r0; r < r1; ++r) {
+          const double* arow = a + r * k;
+          double* crow = c + r * n;
+          for (std::size_t kk = kb; kk < ke; ++kk) {
+            const double v = arow[kk];
+            if (v == 0.0) continue;
+            const double* brow = b + kk * n;
+            for (std::size_t col = 0; col < n; ++col) {
+              crow[col] += v * brow[col];
             }
           }
         }
       }
-    });
+    }
   }
 
   void linear(const double* a, const double* w, const double* bias, double* c,
               std::size_t m, std::size_t k, std::size_t n, Activation act,
-              ThreadPool* pool,
               std::pmr::memory_resource* scratch) const override {
-    if (m < kRowGrain) {
+    if (m < kPackRows) {
       linear_small_m(a, w, bias, c, m, k, n, act);
       return;
     }
@@ -206,138 +194,125 @@ class OptimizedKernel final : public KernelBackend {
       const double* wrow = w + col * k;
       for (std::size_t kk = 0; kk < k; ++kk) wt[kk * n + col] = wrow[kk];
     }
-    for_range(pool, m, kRowGrain, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t r0 = begin; r0 < end; r0 += kRowBlock) {
-        const std::size_t r1 = std::min(end, r0 + kRowBlock);
-        std::fill(c + r0 * n, c + r1 * n, 0.0);
-        for (std::size_t kb = 0; kb < k; kb += kKBlock) {
-          const std::size_t ke = std::min(k, kb + kKBlock);
-          for (std::size_t r = r0; r < r1; ++r) {
-            const double* arow = a + r * k;
-            double* crow = c + r * n;
-            // Four k steps per pass keep each C element in a register
-            // across four additions, quartering the load/store traffic
-            // on the output row. The additions stay k-ascending per
-            // element, so rounding matches the reference exactly.
-            // No zero-skip anywhere: the reference linear has none.
-            std::size_t kk = kb;
-            for (; kk + 4 <= ke; kk += 4) {
-              const double v0 = arow[kk + 0];
-              const double v1 = arow[kk + 1];
-              const double v2 = arow[kk + 2];
-              const double v3 = arow[kk + 3];
-              const double* w0 = wt + kk * n;
-              const double* w1 = w0 + n;
-              const double* w2 = w1 + n;
-              const double* w3 = w2 + n;
-              for (std::size_t col = 0; col < n; ++col) {
-                double acc = crow[col];
-                acc += v0 * w0[col];
-                acc += v1 * w1[col];
-                acc += v2 * w2[col];
-                acc += v3 * w3[col];
-                crow[col] = acc;
-              }
-            }
-            for (; kk < ke; ++kk) {
-              const double v = arow[kk];
-              const double* wrow = wt + kk * n;
-              for (std::size_t col = 0; col < n; ++col) {
-                crow[col] += v * wrow[col];
-              }
-            }
-          }
-        }
+    for (std::size_t r0 = 0; r0 < m; r0 += kRowBlock) {
+      const std::size_t r1 = std::min(m, r0 + kRowBlock);
+      std::fill(c + r0 * n, c + r1 * n, 0.0);
+      for (std::size_t kb = 0; kb < k; kb += kKBlock) {
+        const std::size_t ke = std::min(k, kb + kKBlock);
         for (std::size_t r = r0; r < r1; ++r) {
+          const double* arow = a + r * k;
           double* crow = c + r * n;
-          if (bias != nullptr) {
-            for (std::size_t col = 0; col < n; ++col) crow[col] += bias[col];
-          }
-          if (act != Activation::kNone) {
+          // Four k steps per pass keep each C element in a register
+          // across four additions, quartering the load/store traffic
+          // on the output row. The additions stay k-ascending per
+          // element, so rounding matches the reference exactly.
+          // No zero-skip anywhere: the reference linear has none.
+          std::size_t kk = kb;
+          for (; kk + 4 <= ke; kk += 4) {
+            const double v0 = arow[kk + 0];
+            const double v1 = arow[kk + 1];
+            const double v2 = arow[kk + 2];
+            const double v3 = arow[kk + 3];
+            const double* w0 = wt + kk * n;
+            const double* w1 = w0 + n;
+            const double* w2 = w1 + n;
+            const double* w3 = w2 + n;
             for (std::size_t col = 0; col < n; ++col) {
-              crow[col] = apply(act, crow[col]);
+              double acc = crow[col];
+              acc += v0 * w0[col];
+              acc += v1 * w1[col];
+              acc += v2 * w2[col];
+              acc += v3 * w3[col];
+              crow[col] = acc;
+            }
+          }
+          for (; kk < ke; ++kk) {
+            const double v = arow[kk];
+            const double* wrow = wt + kk * n;
+            for (std::size_t col = 0; col < n; ++col) {
+              crow[col] += v * wrow[col];
             }
           }
         }
       }
-    });
+      for (std::size_t r = r0; r < r1; ++r) {
+        double* crow = c + r * n;
+        if (bias != nullptr) {
+          for (std::size_t col = 0; col < n; ++col) crow[col] += bias[col];
+        }
+        if (act != Activation::kNone) {
+          for (std::size_t col = 0; col < n; ++col) {
+            crow[col] = apply(act, crow[col]);
+          }
+        }
+      }
+    }
   }
 
   void matmul_tn_acc(const double* a, const double* b, double* c,
-                     std::size_t m, std::size_t k, std::size_t n,
-                     ThreadPool* pool) const override {
-    for_range(pool, m, kRowGrain, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t r0 = begin; r0 < end; r0 += kRowBlock) {
-        const std::size_t r1 = std::min(end, r0 + kRowBlock);
-        for (std::size_t kb = 0; kb < k; kb += kKBlock) {
-          const std::size_t ke = std::min(k, kb + kKBlock);
-          for (std::size_t r = r0; r < r1; ++r) {
-            double* crow = c + r * n;
-            for (std::size_t kk = kb; kk < ke; ++kk) {
-              const double v = a[kk * m + r];
-              if (v == 0.0) continue;
-              const double* brow = b + kk * n;
-              for (std::size_t col = 0; col < n; ++col) {
-                crow[col] += v * brow[col];
-              }
+                     std::size_t m, std::size_t k,
+                     std::size_t n) const override {
+    for (std::size_t r0 = 0; r0 < m; r0 += kRowBlock) {
+      const std::size_t r1 = std::min(m, r0 + kRowBlock);
+      for (std::size_t kb = 0; kb < k; kb += kKBlock) {
+        const std::size_t ke = std::min(k, kb + kKBlock);
+        for (std::size_t r = r0; r < r1; ++r) {
+          double* crow = c + r * n;
+          for (std::size_t kk = kb; kk < ke; ++kk) {
+            const double v = a[kk * m + r];
+            if (v == 0.0) continue;
+            const double* brow = b + kk * n;
+            for (std::size_t col = 0; col < n; ++col) {
+              crow[col] += v * brow[col];
             }
           }
         }
       }
-    });
+    }
   }
 
-  void col_sum_acc(const double* a, double* out, std::size_t m, std::size_t n,
-                   ThreadPool* pool) const override {
-    // Column-parallel so chunks own disjoint slices of `out`; each
-    // column still accumulates rows in ascending order.
-    for_range(pool, n, 64, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t r = 0; r < m; ++r) {
-        const double* arow = a + r * n;
-        for (std::size_t col = begin; col < end; ++col) out[col] += arow[col];
-      }
-    });
+  void col_sum_acc(const double* a, double* out, std::size_t m,
+                   std::size_t n) const override {
+    for (std::size_t r = 0; r < m; ++r) {
+      const double* arow = a + r * n;
+      for (std::size_t col = 0; col < n; ++col) out[col] += arow[col];
+    }
   }
 
   void activation_forward(Activation act, const double* x, double* y,
-                          std::size_t count, ThreadPool* pool) const override {
-    for_range(pool, count, 1024, [&](std::size_t begin, std::size_t end) {
-      switch (act) {
-        case Activation::kNone:
-          for (std::size_t i = begin; i < end; ++i) y[i] = x[i];
-          break;
-        case Activation::kReLU:
-          for (std::size_t i = begin; i < end; ++i) {
-            y[i] = x[i] > 0.0 ? x[i] : 0.0;
-          }
-          break;
-        case Activation::kTanh:
-          for (std::size_t i = begin; i < end; ++i) y[i] = std::tanh(x[i]);
-          break;
-      }
-    });
+                          std::size_t count) const override {
+    switch (act) {
+      case Activation::kNone:
+        for (std::size_t i = 0; i < count; ++i) y[i] = x[i];
+        break;
+      case Activation::kReLU:
+        for (std::size_t i = 0; i < count; ++i) {
+          y[i] = x[i] > 0.0 ? x[i] : 0.0;
+        }
+        break;
+      case Activation::kTanh:
+        for (std::size_t i = 0; i < count; ++i) y[i] = std::tanh(x[i]);
+        break;
+    }
   }
 
   void activation_backward(Activation act, const double* y, const double* dy,
-                           double* dx, std::size_t count,
-                           ThreadPool* pool) const override {
-    for_range(pool, count, 1024, [&](std::size_t begin, std::size_t end) {
-      switch (act) {
-        case Activation::kNone:
-          for (std::size_t i = begin; i < end; ++i) dx[i] = dy[i];
-          break;
-        case Activation::kReLU:
-          for (std::size_t i = begin; i < end; ++i) {
-            dx[i] = y[i] <= 0.0 ? 0.0 : dy[i];
-          }
-          break;
-        case Activation::kTanh:
-          for (std::size_t i = begin; i < end; ++i) {
-            dx[i] = dy[i] * (1.0 - y[i] * y[i]);
-          }
-          break;
-      }
-    });
+                           double* dx, std::size_t count) const override {
+    switch (act) {
+      case Activation::kNone:
+        for (std::size_t i = 0; i < count; ++i) dx[i] = dy[i];
+        break;
+      case Activation::kReLU:
+        for (std::size_t i = 0; i < count; ++i) {
+          dx[i] = y[i] <= 0.0 ? 0.0 : dy[i];
+        }
+        break;
+      case Activation::kTanh:
+        for (std::size_t i = 0; i < count; ++i) {
+          dx[i] = dy[i] * (1.0 - y[i] * y[i]);
+        }
+        break;
+    }
   }
 
   // Forward over a zero-padded copy of the input. The +0.0 padding is
@@ -349,47 +324,42 @@ class OptimizedKernel final : public KernelBackend {
   // reference.
   void conv2d_forward(const double* input, const double* weight,
                       const double* bias, double* out, const ConvShape& s,
-                      ThreadPool* pool,
                       std::pmr::memory_resource* scratch) const override {
     const PaddedGeometry g(s);
     const std::size_t taps = s.in_c * s.k * s.k;
-    // Per sample: its padded planes, then zero slack for the reads of
-    // the last tile; then a stride-wp output plane.
+    // One sample at a time: its padded planes, then zero slack for the
+    // reads of the last tile; then a stride-wp output plane.
     const std::size_t in_stride = s.in_c * g.plane + kConvTile;
-    const std::size_t out_stride = round_up(g.span, kConvTile);
-    const std::size_t slots = sample_slots(pool, s.batch);
-    ScratchBuffer padded(scratch, slots * in_stride);
-    ScratchBuffer rows(scratch, slots * out_stride);
-    for_range(pool, s.batch, 1, [&](std::size_t nb, std::size_t ne) {
-      for (std::size_t n = nb; n < ne; ++n) {
-        double* pn = padded.data() + n % slots * in_stride;
-        g.pad(input, n, pn);
-        std::fill(pn + s.in_c * g.plane, pn + in_stride, 0.0);
-        double* on = rows.data() + n % slots * out_stride;
-        for (std::size_t oc = 0; oc < s.out_c; ++oc) {
-          for (std::size_t i0 = 0; i0 < g.span; i0 += kConvTile) {
-            Lanes acc[kTileLanes];
-            for (Lanes& a : acc) a = broadcast(bias[oc]);
-            const double* wt = weight + oc * taps;
-            for (std::size_t ic = 0; ic < s.in_c; ++ic) {
-              for (std::size_t ky = 0; ky < s.k; ++ky) {
-                const double* src = pn + ic * g.plane + ky * g.wp + i0;
-                for (std::size_t kx = 0; kx < s.k; ++kx) {
-                  const double wv = *wt++;
-                  for (std::size_t l = 0; l < kTileLanes; ++l) {
-                    acc[l] += wv * load_lanes(src + kx + l * kLaneWidth);
-                  }
+    ScratchBuffer padded(scratch, in_stride);
+    ScratchBuffer rows(scratch, round_up(g.span, kConvTile));
+    for (std::size_t n = 0; n < s.batch; ++n) {
+      double* pn = padded.data();
+      g.pad(input, n, pn);
+      std::fill(pn + s.in_c * g.plane, pn + in_stride, 0.0);
+      double* on = rows.data();
+      for (std::size_t oc = 0; oc < s.out_c; ++oc) {
+        for (std::size_t i0 = 0; i0 < g.span; i0 += kConvTile) {
+          Lanes acc[kTileLanes];
+          for (Lanes& a : acc) a = broadcast(bias[oc]);
+          const double* wt = weight + oc * taps;
+          for (std::size_t ic = 0; ic < s.in_c; ++ic) {
+            for (std::size_t ky = 0; ky < s.k; ++ky) {
+              const double* src = pn + ic * g.plane + ky * g.wp + i0;
+              for (std::size_t kx = 0; kx < s.k; ++kx) {
+                const double wv = *wt++;
+                for (std::size_t l = 0; l < kTileLanes; ++l) {
+                  acc[l] += wv * load_lanes(src + kx + l * kLaneWidth);
                 }
               }
             }
-            for (std::size_t l = 0; l < kTileLanes; ++l) {
-              store_lanes(on + i0 + l * kLaneWidth, acc[l]);
-            }
           }
-          g.crop(on, out + (n * s.out_c + oc) * g.oh * g.ow, g.oh, g.ow);
+          for (std::size_t l = 0; l < kTileLanes; ++l) {
+            store_lanes(on + i0 + l * kLaneWidth, acc[l]);
+          }
         }
+        g.crop(on, out + (n * s.out_c + oc) * g.oh * g.ow, g.oh, g.ow);
       }
-    });
+    }
   }
 
   // Each output position's input patch is gathered once (im2col, from
@@ -403,7 +373,7 @@ class OptimizedKernel final : public KernelBackend {
   // selected by a per-position tap mask.
   void conv2d_backward_params(const double* input, const double* grad_out,
                               double* weight_grad, double* bias_grad,
-                              const ConvShape& s, ThreadPool* pool,
+                              const ConvShape& s,
                               std::pmr::memory_resource* scratch)
       const override {
     const PaddedGeometry g(s);
@@ -438,62 +408,58 @@ class OptimizedKernel final : public KernelBackend {
     }
     for (std::size_t n0 = 0; n0 < s.batch; n0 += block) {
       const std::size_t count = std::min(block, s.batch - n0);
-      for_range(pool, count, 1, [&](std::size_t jb, std::size_t je) {
-        for (std::size_t j = jb; j < je; ++j) {
-          double* pj = padded.data() + j * s.in_c * g.plane;
-          g.pad(input, n0 + j, pj);
-          for (std::size_t oy = 0; oy < g.oh; ++oy) {
-            for (std::size_t ox = 0; ox < g.ow; ++ox) {
-              const double* base = pj + oy * g.wp + ox;
-              double* col = cols.data() + (j * positions + oy * g.ow + ox) * row;
-              for (std::size_t t = 0; t < taps; ++t) {
-                col[t] = base[offsets.data()[t]];
-              }
-              std::fill(col + taps, col + row, 0.0);
+      for (std::size_t j = 0; j < count; ++j) {
+        double* pj = padded.data() + j * s.in_c * g.plane;
+        g.pad(input, n0 + j, pj);
+        for (std::size_t oy = 0; oy < g.oh; ++oy) {
+          for (std::size_t ox = 0; ox < g.ow; ++ox) {
+            const double* base = pj + oy * g.wp + ox;
+            double* col = cols.data() + (j * positions + oy * g.ow + ox) * row;
+            for (std::size_t t = 0; t < taps; ++t) {
+              col[t] = base[offsets.data()[t]];
             }
+            std::fill(col + taps, col + row, 0.0);
           }
         }
-      });
-      for_range(pool, s.out_c, 1, [&](std::size_t ocb, std::size_t oce) {
-        for (std::size_t oc = ocb; oc < oce; ++oc) {
-          // The bias rides along with the first tile. A loop of its own
-          // would be if-converted and vectorized into adds of +0.0,
-          // which turn a -0.0 bias gradient into +0.0.
-          double b = bias_grad[oc];
-          double* wg = weight_grad + oc * taps;
-          for (std::size_t t0 = 0; t0 < taps; t0 += kConvTile) {
-            const std::size_t width = std::min(kConvTile, taps - t0);
-            double tile[kConvTile] = {};
-            std::copy(wg + t0, wg + t0 + width, tile);
-            Lanes acc[kTileLanes];
-            for (std::size_t l = 0; l < kTileLanes; ++l) {
-              acc[l] = load_lanes(tile + l * kLaneWidth);
-            }
-            for (std::size_t j = 0; j < count; ++j) {
-              const double* gj =
-                  grad_out + ((n0 + j) * s.out_c + oc) * positions;
-              const double* cj = cols.data() + j * positions * row + t0;
-              for (std::size_t p = 0; p < positions; ++p) {
-                const double gv = gj[p];
-                if (gv == 0.0) continue;
-                if (t0 == 0) b += gv;
-                const double* col = cj + p * row;
-                const double* m = mask.data() + p * row + t0;
-                for (std::size_t l = 0; l < kTileLanes; ++l) {
-                  const Lanes term = gv * load_lanes(col + l * kLaneWidth);
-                  acc[l] += load_lanes(m + l * kLaneWidth) != 0.0 ? term
-                                                                  : kNegZero;
-                }
+      }
+      for (std::size_t oc = 0; oc < s.out_c; ++oc) {
+        // The bias rides along with the first tile. A loop of its own
+        // would be if-converted and vectorized into adds of +0.0,
+        // which turn a -0.0 bias gradient into +0.0.
+        double b = bias_grad[oc];
+        double* wg = weight_grad + oc * taps;
+        for (std::size_t t0 = 0; t0 < taps; t0 += kConvTile) {
+          const std::size_t width = std::min(kConvTile, taps - t0);
+          double tile[kConvTile] = {};
+          std::copy(wg + t0, wg + t0 + width, tile);
+          Lanes acc[kTileLanes];
+          for (std::size_t l = 0; l < kTileLanes; ++l) {
+            acc[l] = load_lanes(tile + l * kLaneWidth);
+          }
+          for (std::size_t j = 0; j < count; ++j) {
+            const double* gj =
+                grad_out + ((n0 + j) * s.out_c + oc) * positions;
+            const double* cj = cols.data() + j * positions * row + t0;
+            for (std::size_t p = 0; p < positions; ++p) {
+              const double gv = gj[p];
+              if (gv == 0.0) continue;
+              if (t0 == 0) b += gv;
+              const double* col = cj + p * row;
+              const double* m = mask.data() + p * row + t0;
+              for (std::size_t l = 0; l < kTileLanes; ++l) {
+                const Lanes term = gv * load_lanes(col + l * kLaneWidth);
+                acc[l] += load_lanes(m + l * kLaneWidth) != 0.0 ? term
+                                                                : kNegZero;
               }
             }
-            for (std::size_t l = 0; l < kTileLanes; ++l) {
-              store_lanes(tile + l * kLaneWidth, acc[l]);
-            }
-            std::copy(tile, tile + width, wg + t0);
           }
-          bias_grad[oc] = b;
+          for (std::size_t l = 0; l < kTileLanes; ++l) {
+            store_lanes(tile + l * kLaneWidth, acc[l]);
+          }
+          std::copy(tile, tile + width, wg + t0);
         }
-      });
+        bias_grad[oc] = b;
+      }
     }
   }
 
@@ -506,7 +472,6 @@ class OptimizedKernel final : public KernelBackend {
   // or filler, is skipped as an add of -0.0.
   void conv2d_backward_input(const double* grad_out, const double* weight,
                              double* grad_input, const ConvShape& s,
-                             ThreadPool* pool,
                              std::pmr::memory_resource* scratch)
       const override {
     const PaddedGeometry g(s);
@@ -516,78 +481,70 @@ class OptimizedKernel final : public KernelBackend {
     const std::size_t grad_stride = front + g.plane + kConvTile;
     // Only the rows pad .. pad + h - 1 of the padded plane are cells.
     const std::size_t first = s.pad * g.wp, last = (s.pad + s.h) * g.wp;
-    const std::size_t cell_stride = g.plane + kConvTile;
-    const std::size_t slots = sample_slots(pool, s.batch);
-    ScratchBuffer grads(scratch, slots * s.out_c * grad_stride);
-    ScratchBuffer cells(scratch, slots * cell_stride);
-    for_range(pool, s.batch, 1, [&](std::size_t nb, std::size_t ne) {
-      for (std::size_t n = nb; n < ne; ++n) {
-        double* gn = grads.data() + n % slots * s.out_c * grad_stride;
-        std::fill(gn, gn + s.out_c * grad_stride, 0.0);
-        for (std::size_t oc = 0; oc < s.out_c; ++oc) {
-          const double* go = grad_out + (n * s.out_c + oc) * g.oh * g.ow;
-          for (std::size_t oy = 0; oy < g.oh; ++oy) {
-            std::copy(go + oy * g.ow, go + (oy + 1) * g.ow,
-                      gn + oc * grad_stride + front + oy * g.wp);
-          }
+    ScratchBuffer grads(scratch, s.out_c * grad_stride);
+    ScratchBuffer cells(scratch, g.plane + kConvTile);
+    for (std::size_t n = 0; n < s.batch; ++n) {
+      double* gn = grads.data();
+      std::fill(gn, gn + s.out_c * grad_stride, 0.0);
+      for (std::size_t oc = 0; oc < s.out_c; ++oc) {
+        const double* go = grad_out + (n * s.out_c + oc) * g.oh * g.ow;
+        for (std::size_t oy = 0; oy < g.oh; ++oy) {
+          std::copy(go + oy * g.ow, go + (oy + 1) * g.ow,
+                    gn + oc * grad_stride + front + oy * g.wp);
         }
-        double* cn = cells.data() + n % slots * cell_stride;
-        for (std::size_t ic = 0; ic < s.in_c; ++ic) {
-          for (std::size_t i0 = first; i0 < last; i0 += kConvTile) {
-            Lanes acc[kTileLanes] = {};
-            for (std::size_t oc = 0; oc < s.out_c; ++oc) {
-              const double* wk = weight + (oc * s.in_c + ic) * s.k * s.k;
-              const double* src = gn + oc * grad_stride + front + i0;
-              for (std::size_t ky = s.k; ky-- > 0;) {
-                for (std::size_t kx = s.k; kx-- > 0;) {
-                  const double wv = wk[ky * s.k + kx];
-                  const double* gsrc = src - ky * g.wp - kx;
-                  for (std::size_t l = 0; l < kTileLanes; ++l) {
-                    const Lanes gl = load_lanes(gsrc + l * kLaneWidth);
-                    acc[l] += gl == 0.0 ? kNegZero : gl * wv;
-                  }
+      }
+      double* cn = cells.data();
+      for (std::size_t ic = 0; ic < s.in_c; ++ic) {
+        for (std::size_t i0 = first; i0 < last; i0 += kConvTile) {
+          Lanes acc[kTileLanes] = {};
+          for (std::size_t oc = 0; oc < s.out_c; ++oc) {
+            const double* wk = weight + (oc * s.in_c + ic) * s.k * s.k;
+            const double* src = gn + oc * grad_stride + front + i0;
+            for (std::size_t ky = s.k; ky-- > 0;) {
+              for (std::size_t kx = s.k; kx-- > 0;) {
+                const double wv = wk[ky * s.k + kx];
+                const double* gsrc = src - ky * g.wp - kx;
+                for (std::size_t l = 0; l < kTileLanes; ++l) {
+                  const Lanes gl = load_lanes(gsrc + l * kLaneWidth);
+                  acc[l] += gl == 0.0 ? kNegZero : gl * wv;
                 }
               }
             }
-            for (std::size_t l = 0; l < kTileLanes; ++l) {
-              store_lanes(cn + i0 + l * kLaneWidth, acc[l]);
-            }
           }
-          g.crop(cn + first + s.pad,
-                 grad_input + (n * s.in_c + ic) * s.h * s.w, s.h, s.w);
+          for (std::size_t l = 0; l < kTileLanes; ++l) {
+            store_lanes(cn + i0 + l * kLaneWidth, acc[l]);
+          }
         }
+        g.crop(cn + first + s.pad,
+               grad_input + (n * s.in_c + ic) * s.h * s.w, s.h, s.w);
       }
-    });
+    }
   }
 
   void sgd_step(double* params, const double* grads, double* velocity,
                 std::size_t count, double lr, double momentum,
-                double weight_decay, ThreadPool* pool) const override {
-    for_range(pool, count, 1024, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const double g = grads[i] + weight_decay * params[i];
-        velocity[i] = momentum * velocity[i] + g;
-        params[i] -= lr * velocity[i];
-      }
-    });
+                double weight_decay) const override {
+    for (std::size_t i = 0; i < count; ++i) {
+      const double g = grads[i] + weight_decay * params[i];
+      velocity[i] = momentum * velocity[i] + g;
+      params[i] -= lr * velocity[i];
+    }
   }
 
   void adam_step(double* params, const double* grads, double* m, double* v,
                  std::size_t count, double lr, double beta1, double beta2,
                  double bc1, double bc2, double eps, double weight_decay,
-                 bool decoupled, ThreadPool* pool) const override {
-    for_range(pool, count, 1024, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        double g = grads[i];
-        if (!decoupled) g += weight_decay * params[i];
-        m[i] = beta1 * m[i] + (1.0 - beta1) * g;
-        v[i] = beta2 * v[i] + (1.0 - beta2) * g * g;
-        const double m_hat = m[i] / bc1;
-        const double v_hat = v[i] / bc2;
-        params[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
-        if (decoupled) params[i] -= lr * weight_decay * params[i];
-      }
-    });
+                 bool decoupled) const override {
+    for (std::size_t i = 0; i < count; ++i) {
+      double g = grads[i];
+      if (!decoupled) g += weight_decay * params[i];
+      m[i] = beta1 * m[i] + (1.0 - beta1) * g;
+      v[i] = beta2 * v[i] + (1.0 - beta2) * g * g;
+      const double m_hat = m[i] / bc1;
+      const double v_hat = v[i] / bc2;
+      params[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
+      if (decoupled) params[i] -= lr * weight_decay * params[i];
+    }
   }
 
  private:

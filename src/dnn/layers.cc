@@ -31,7 +31,7 @@ Tensor Linear::forward(const Tensor& input) {
   const std::size_t batch = input.dim(0);
   Tensor out({batch, out_}, 0.0, kc.resource());
   kc.k().linear(input.data(), weight_.data(), bias_.data(), out.data(), batch,
-                in_, out_, act_, kc.pool, kc.resource());
+                in_, out_, act_, kc.resource());
   if (act_ != kernels::Activation::kNone) {
     cached_output_.assign(out, kc.resource());
   }
@@ -50,12 +50,12 @@ const double* Linear::accumulate_param_grads(const Tensor& grad_output,
     delta = Tensor({batch, out_}, 0.0, kc.resource());
     kc.k().activation_backward(act_, cached_output_.data(),
                                grad_output.data(), delta.data(),
-                               grad_output.size(), kc.pool);
+                               grad_output.size());
     d = delta.data();
   }
   kc.k().matmul_tn_acc(d, cached_input_.data(), weight_grad_.data(), out_,
-                       batch, in_, kc.pool);
-  kc.k().col_sum_acc(d, bias_grad_.data(), batch, out_, kc.pool);
+                       batch, in_);
+  kc.k().col_sum_acc(d, bias_grad_.data(), batch, out_);
   return d;
 }
 
@@ -65,8 +65,7 @@ Tensor Linear::backward(const Tensor& grad_output) {
   const double* d = accumulate_param_grads(grad_output, delta);
   const std::size_t batch = grad_output.dim(0);
   Tensor grad_input({batch, in_}, 0.0, kc.resource());
-  kc.k().matmul_nn(d, weight_.data(), grad_input.data(), batch, out_, in_,
-                   kc.pool);
+  kc.k().matmul_nn(d, weight_.data(), grad_input.data(), batch, out_, in_);
   return grad_input;
 }
 
@@ -117,7 +116,7 @@ Tensor ReLU::forward(const Tensor& input) {
   const kernels::Context& kc = kctx();
   Tensor out(input.shape(), 0.0, kc.resource());
   kc.k().activation_forward(kernels::Activation::kReLU, input.data(),
-                            out.data(), input.size(), kc.pool);
+                            out.data(), input.size());
   cached_output_.assign(out, kc.resource());
   return out;
 }
@@ -127,7 +126,7 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   Tensor out(grad_output.shape(), 0.0, kc.resource());
   kc.k().activation_backward(kernels::Activation::kReLU,
                              cached_output_.data(), grad_output.data(),
-                             out.data(), grad_output.size(), kc.pool);
+                             out.data(), grad_output.size());
   return out;
 }
 
@@ -137,7 +136,7 @@ Tensor Tanh::forward(const Tensor& input) {
   const kernels::Context& kc = kctx();
   Tensor out(input.shape(), 0.0, kc.resource());
   kc.k().activation_forward(kernels::Activation::kTanh, input.data(),
-                            out.data(), input.size(), kc.pool);
+                            out.data(), input.size());
   cached_output_.assign(out, kc.resource());
   return out;
 }
@@ -147,7 +146,7 @@ Tensor Tanh::backward(const Tensor& grad_output) {
   Tensor out(grad_output.shape(), 0.0, kc.resource());
   kc.k().activation_backward(kernels::Activation::kTanh, cached_output_.data(),
                              grad_output.data(), out.data(),
-                             grad_output.size(), kc.pool);
+                             grad_output.size());
   return out;
 }
 
@@ -185,7 +184,7 @@ Tensor Conv2d::forward(const Tensor& input) {
   Tensor out({shape.batch, out_c_, shape.oh(), shape.ow()}, 0.0,
              kc.resource());
   kc.k().conv2d_forward(input.data(), weight_.data(), bias_.data(), out.data(),
-                        shape, kc.pool, kc.resource());
+                        shape, kc.resource());
   return out;
 }
 
@@ -196,8 +195,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   Tensor grad_input({shape.batch, in_c_, shape.h, shape.w}, 0.0,
                     kc.resource());
   kc.k().conv2d_backward_input(grad_output.data(), weight_.data(),
-                               grad_input.data(), shape, kc.pool,
-                               kc.resource());
+                               grad_input.data(), shape, kc.resource());
   return grad_input;
 }
 
@@ -205,8 +203,7 @@ void Conv2d::backward_params(const Tensor& grad_output) {
   const kernels::Context& kc = kctx();
   kc.k().conv2d_backward_params(cached_input_.data(), grad_output.data(),
                                 weight_grad_.data(), bias_grad_.data(),
-                                shape_of(cached_input_), kc.pool,
-                                kc.resource());
+                                shape_of(cached_input_), kc.resource());
 }
 
 std::size_t Conv2d::num_params() const { return weight_.size() + bias_.size(); }

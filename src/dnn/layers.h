@@ -7,9 +7,9 @@
 // estimators consume.
 //
 // Compute dispatches through a borrowed kernels::Context (backend +
-// intra-rank pool + workspace memory resource) attached via
-// set_context(); with no context attached every layer runs the naive
-// reference kernels on the heap, preserving the original semantics.
+// workspace memory resource) attached via set_context(); with no
+// context attached every layer runs the naive reference kernels on the
+// heap, preserving the original semantics.
 // Parameters and gradient accumulators always live on the heap (they
 // persist across steps); only per-step activations/caches go to the
 // context's resource, and a cache written before an Arena::reset() is

@@ -22,7 +22,7 @@ void Sgd::step(std::span<double> params, std::span<const double> grads,
   }
   const kernels::Context& kc = kernels::ctx_or_default(ctx);
   kc.k().sgd_step(params.data(), grads.data(), velocity_.data(), params.size(),
-                  lr, momentum_, weight_decay_, kc.pool);
+                  lr, momentum_, weight_decay_);
 }
 
 void Sgd::reset() { velocity_.clear(); }
@@ -64,7 +64,7 @@ void Adam::step(std::span<double> params, std::span<const double> grads,
   const kernels::Context& kc = kernels::ctx_or_default(ctx);
   kc.k().adam_step(params.data(), grads.data(), m_.data(), v_.data(),
                    params.size(), lr, beta1_, beta2_, bc1, bc2, eps_,
-                   weight_decay_, decoupled_, kc.pool);
+                   weight_decay_, decoupled_);
 }
 
 void Adam::reset() {

@@ -14,7 +14,6 @@
 #include "comm/process_group.h"
 #include "core/hetero_dataloader.h"
 #include "dnn/kernels/arena.h"
-#include "dnn/kernels/thread_pool.h"
 #include "dnn/loss.h"
 
 namespace cannikin::dnn {
@@ -138,12 +137,9 @@ EpochResult ParallelTrainer::run_epoch(const std::vector<int>& local_batches) {
     // Kernel context: declared before the model so it outlives every
     // layer holding a pointer to it. The arena recycles all per-step
     // tensor workspaces; after warmup no step touches the heap.
-    kernels::ThreadPool pool(options_.kernel_threads);
     kernels::Arena arena;
     const kernels::Context kctx{&kernels::kernel(options_.kernel_kind),
-                                pool.size() > 1 ? &pool : nullptr,
-                                options_.kernel_use_arena ? arena.resource()
-                                                          : nullptr};
+                                arena.resource()};
     Model model = factory_();
     model.set_context(&kctx);
     model.set_flat_params(params_);
@@ -412,9 +408,8 @@ EpochResult ParallelTrainer::run_epoch(const std::vector<int>& local_batches) {
 double ParallelTrainer::evaluate_accuracy(
     const InMemoryDataset& dataset) const {
   kernels::Arena arena;
-  const kernels::Context kctx{
-      &kernels::kernel(options_.kernel_kind), nullptr,
-      options_.kernel_use_arena ? arena.resource() : nullptr};
+  const kernels::Context kctx{&kernels::kernel(options_.kernel_kind),
+                              arena.resource()};
   Model model = factory_();
   model.set_context(&kctx);
   model.set_flat_params(params_);
@@ -444,9 +439,8 @@ double ParallelTrainer::evaluate_accuracy(
 
 double ParallelTrainer::evaluate_loss(const InMemoryDataset& dataset) const {
   kernels::Arena arena;
-  const kernels::Context kctx{
-      &kernels::kernel(options_.kernel_kind), nullptr,
-      options_.kernel_use_arena ? arena.resource() : nullptr};
+  const kernels::Context kctx{&kernels::kernel(options_.kernel_kind),
+                              arena.resource()};
   Model model = factory_();
   model.set_context(&kctx);
   model.set_flat_params(params_);

@@ -77,17 +77,12 @@ struct TrainerOptions {
   /// collective, and phase timings flow into the metrics registry.
   obs::Scope obs;
   /// Compute-kernel backend for forward/backward/update. kOptimized is
-  /// bitwise identical to kNaive on the single-thread deterministic
-  /// path (see DESIGN.md "Compute kernels"); kNaive remains available
-  /// as the reference for parity checks and debugging.
+  /// bitwise identical to kNaive (see DESIGN.md "Compute kernels");
+  /// kNaive remains available as the reference for parity checks and
+  /// debugging. Either way, per-step tensor workspaces come from a
+  /// per-rank bump arena, so steady-state training does zero heap
+  /// allocations per step.
   kernels::KernelKind kernel_kind = kernels::KernelKind::kOptimized;
-  /// Intra-rank threads for batch-parallel kernels; 1 = serial
-  /// (deterministic tier). Values > 1 keep a static partition that is
-  /// bitwise stable across thread counts for the built-in kernels.
-  int kernel_threads = 1;
-  /// Route per-step tensor workspaces through a per-rank bump arena so
-  /// steady-state training does zero heap allocations per step.
-  bool kernel_use_arena = true;
   double gns_smoothing = 0.1;
   double momentum = 0.9;
   /// Per-worker slowdown factors (>= 1); size num_nodes, or empty for

@@ -58,7 +58,7 @@ Tensor matmul(const Tensor& a, const Tensor& b, const kernels::Context* ctx) {
   const kernels::Context& kc = kernels::ctx_or_default(ctx);
   const std::size_t rows = a.dim(0), inner = a.dim(1), cols = b.dim(1);
   Tensor c = Tensor::matrix(rows, cols, 0.0, kc.resource());
-  kc.k().matmul_nn(a.data(), b.data(), c.data(), rows, inner, cols, kc.pool);
+  kc.k().matmul_nn(a.data(), b.data(), c.data(), rows, inner, cols);
   return c;
 }
 
@@ -71,7 +71,7 @@ Tensor matmul_transposed(const Tensor& a, const Tensor& b,
   const std::size_t rows = a.dim(0), inner = a.dim(1), cols = b.dim(0);
   Tensor c = Tensor::matrix(rows, cols, 0.0, kc.resource());
   kc.k().linear(a.data(), b.data(), nullptr, c.data(), rows, inner, cols,
-                kernels::Activation::kNone, kc.pool, kc.resource());
+                kernels::Activation::kNone, kc.resource());
   return c;
 }
 
@@ -83,8 +83,7 @@ Tensor transposed_matmul(const Tensor& a, const Tensor& b,
   const kernels::Context& kc = kernels::ctx_or_default(ctx);
   const std::size_t rows = a.dim(1), inner = a.dim(0), cols = b.dim(1);
   Tensor c = Tensor::matrix(rows, cols, 0.0, kc.resource());
-  kc.k().matmul_tn_acc(a.data(), b.data(), c.data(), rows, inner, cols,
-                       kc.pool);
+  kc.k().matmul_tn_acc(a.data(), b.data(), c.data(), rows, inner, cols);
   return c;
 }
 

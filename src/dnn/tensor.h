@@ -117,7 +117,7 @@ class Tensor {
 };
 
 // The free matmuls dispatch through the kernel context when one is
-// given (backend + pool + output memory resource); the default is the
+// given (backend + output memory resource); the default is the
 // naive reference on the heap, preserving the original semantics.
 
 /// C = A x B for 2-D tensors (rows_a x k) * (k x cols_b).

@@ -18,9 +18,8 @@
 //   sched.checkpoint.skipped_corrupt -- corrupt checkpoint files the
 //     store CRC-rejected and skipped during load_latest;
 //   sched.checkpoint.corrupted -- kCheckpointCorrupt faults injected;
-//   sched.partition_shrinks / sched.partition_heals -- quorum
-//     exclusions converted into elastic shrinks, and post-heal
-//     re-admissions;
+//   sched.partition_shrinks / sched.partition_heals -- partition
+//     onsets handled as elastic shrinks, and post-heal re-admissions;
 //   chaos.* -- per-run chaos-harness accounting (rounds committed /
 //     discarded, exclusions, rejoins, restores, typed errors) plus the
 //     chaos_fuzz sweep gauges (scenarios_per_sec, exclusion_rate,

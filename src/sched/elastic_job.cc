@@ -25,10 +25,10 @@ constexpr double kCrashPerNodeSeconds = 0.05;
 constexpr double kRejoinSeconds = 0.5;
 constexpr double kRejoinPerNodeSeconds = 0.05;
 
-// Modeled cost of a quorum exclusion after a network partition: the
-// surviving majority rebuilds its process group around the reachable
-// set and keeps training -- no checkpoint reload, no cold restart,
-// which is the whole point of degrading instead of dying.
+// Modeled cost of shrinking away the cut-off side of a network
+// partition: the survivors rebuild their process group around the
+// reachable set and keep training -- no checkpoint reload, no cold
+// restart, which is the whole point of degrading instead of dying.
 constexpr double kPartitionShrinkSeconds = 0.75;
 constexpr double kPartitionPerNodeSeconds = 0.05;
 
@@ -251,7 +251,7 @@ const RecoveryReport& ElasticCannikinJob::apply_fault(
     }
     case sim::FaultKind::kNetworkPartition: {
       if (event.severity >= 1.0) {
-        // Heal: re-admit the nodes the quorum excluded at onset.
+        // Heal: re-admit the nodes cut off at onset.
         std::vector<int> grown = allocation_;
         int readmitted = 0;
         for (int id : partitioned_nodes_) {
@@ -273,7 +273,7 @@ const RecoveryReport& ElasticCannikinJob::apply_fault(
         node_rejoins_ += readmitted;
         break;
       }
-      // Onset: the quorum excludes the minority side. The survivors
+      // Onset: shrink away the partitioned side. The survivors
       // keep training on their rescaled gradient share -- an elastic
       // shrink, not a restart.
       std::vector<int> survivors;

@@ -80,9 +80,9 @@ class ElasticCannikinJob {
   ///  - network degrade: the interconnect's bandwidth scale changes
   ///    (and persists across future reallocations).
   ///  - network partition: onset (`severity` < 1) shrinks the
-  ///    allocation to the nodes outside `event.partition` (the quorum's
-  ///    exclusion, far cheaper than a crash restart); the heal marker
-  ///    (`severity` >= 1) re-admits them warm.
+  ///    allocation to the nodes outside `event.partition` (far cheaper
+  ///    than a crash restart); the heal marker (`severity` >= 1)
+  ///    re-admits them warm.
   ///  - link flaky: effective network throughput scales by
   ///    (1 - severity), the expected retransmission overhead of
   ///    retry-on-drop; severity 0 restores healthy links.
@@ -126,7 +126,7 @@ class ElasticCannikinJob {
   int crash_recoveries() const { return crash_recoveries_; }
   /// Nodes re-admitted via kNodeRecover events.
   int node_rejoins() const { return node_rejoins_; }
-  /// Quorum exclusions handled as elastic shrinks (kNetworkPartition).
+  /// Partition onsets handled as elastic shrinks (kNetworkPartition).
   int partition_shrinks() const { return partition_shrinks_; }
   /// Nodes currently excluded by an unhealed partition.
   const std::vector<int>& partitioned_nodes() const {

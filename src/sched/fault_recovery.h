@@ -72,7 +72,7 @@ struct FaultRecoveryTrace {
   int drift_resets = 0;
   int node_rejoins = 0;
   int warm_rejoins = 0;  ///< re-joins warm-started from banked models
-  int partition_shrinks = 0;  ///< quorum exclusions handled elastically
+  int partition_shrinks = 0;  ///< partition onsets handled elastically
   /// Modeled in-process recovery cost + measured restore + backoff.
   double recovery_overhead_seconds = 0.0;
 };

@@ -119,18 +119,8 @@ Allocation StaticPartitionPolicy::on_job_finish(const FleetState& state,
 
 // ------------------------------------------------- goodput-greedy
 
-GoodputGreedyPolicy::GoodputGreedyPolicy(sim::ClusterSpec cluster,
-                                         GoodputGreedyOptions options)
-    : scheduler_(std::move(cluster)), options_(options) {
-  if (options_.max_concurrent < 0) {
-    throw std::invalid_argument(
-        "GoodputGreedyPolicy: max_concurrent must be >= 0");
-  }
-  if (options_.preemption_horizon_seconds <= 0.0) {
-    throw std::invalid_argument(
-        "GoodputGreedyPolicy: preemption horizon must be positive");
-  }
-}
+GoodputGreedyPolicy::GoodputGreedyPolicy(sim::ClusterSpec cluster)
+    : scheduler_(std::move(cluster)) {}
 
 Allocation GoodputGreedyPolicy::repack(const FleetState& state) const {
   const int n = state.cluster->size();
@@ -167,11 +157,6 @@ Allocation GoodputGreedyPolicy::repack(const FleetState& state) const {
     int demand = 0;
     for (const FleetJobView* view : ordered) {
       if (is_pinned(view->id)) continue;
-      if (options_.max_concurrent > 0 &&
-          static_cast<int>(pinned.size() + selected.size()) >=
-              options_.max_concurrent) {
-        break;
-      }
       if (demand + view->spec->min_nodes > static_cast<int>(pool.size())) {
         continue;
       }
@@ -221,10 +206,8 @@ Allocation GoodputGreedyPolicy::repack(const FleetState& state) const {
       }
     }
     if (evicted.empty()) return target;
-    if (options_.allow_preemption &&
-        (target_goodput - current_goodput) *
-                options_.preemption_horizon_seconds >
-            loss) {
+    if ((target_goodput - current_goodput) * kPreemptionHorizonSeconds >
+        loss) {
       return target;
     }
     for (const FleetJobView* view : evicted) pinned.push_back(view->id);

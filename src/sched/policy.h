@@ -133,30 +133,21 @@ class StaticPartitionPolicy : public SchedulingPolicy {
   std::vector<std::vector<int>> partitions_;
 };
 
-struct GoodputGreedyOptions {
-  /// Upper bound on concurrently running jobs; 0 = bounded only by
-  /// min_nodes demand fitting the cluster.
-  int max_concurrent = 0;
-  /// Horizon over which a repack's fleet-goodput gain is credited when
-  /// weighed against preemption cost (virtual seconds).
-  double preemption_horizon_seconds = 600.0;
-  /// Master switch; with false a running job is never evicted, only
-  /// resized.
-  bool allow_preemption = true;
-};
-
 /// Pollux-style goodput-greedy packer generalizing GoodputScheduler to
 /// a live fleet: on every event it selects the runnable set by
 /// (priority, arrival), packs it with greedy marginal normalized
 /// goodput over the heterogeneous pool, and preempts a running job
-/// only when the estimated fleet-goodput gain over the configured
-/// horizon exceeds the job's own goodput times the measured
-/// checkpoint/restore cost (otherwise the job is pinned on its current
-/// nodes and the remainder is repacked around it).
+/// only when the estimated fleet-goodput gain over
+/// kPreemptionHorizonSeconds exceeds the job's own goodput times the
+/// measured checkpoint/restore cost (otherwise the job is pinned on its
+/// current nodes and the remainder is repacked around it).
 class GoodputGreedyPolicy : public SchedulingPolicy {
  public:
-  explicit GoodputGreedyPolicy(sim::ClusterSpec cluster,
-                               GoodputGreedyOptions options = {});
+  /// Virtual seconds over which a repack's fleet-goodput gain is
+  /// credited when weighed against the preemption cost.
+  static constexpr double kPreemptionHorizonSeconds = 600.0;
+
+  explicit GoodputGreedyPolicy(sim::ClusterSpec cluster);
   std::string name() const override { return "goodput"; }
   Allocation on_job_arrival(const FleetState& state, JobId arrived) override;
   Allocation on_job_finish(const FleetState& state, JobId finished) override;
@@ -166,7 +157,6 @@ class GoodputGreedyPolicy : public SchedulingPolicy {
   Allocation repack(const FleetState& state) const;
 
   GoodputScheduler scheduler_;
-  GoodputGreedyOptions options_;
 };
 
 }  // namespace cannikin::sched

@@ -42,9 +42,9 @@ enum class FaultKind {
   /// The network bipartitions: the nodes listed in `partition` are cut
   /// off from the rest until the partition heals `duration_epochs`
   /// later (must be > 0 — a partition without a scheduled heal is a
-  /// permanent crash of one side and should be modelled as such). The
-  /// runtime excludes the minority side via quorum and re-admits it at
-  /// heal time; at the comm layer the cut is a sim::LinkFaults
+  /// permanent crash of one side and should be modelled as such).
+  /// ElasticCannikinJob shrinks away the partitioned side and re-admits
+  /// it at heal time; at the comm layer the cut is a sim::LinkFaults
   /// bipartition both backends evaluate at transmission time.
   kNetworkPartition,
   /// Links turn lossy: every transmission attempt is dropped with

@@ -516,8 +516,10 @@ TEST(BucketReducerTest, BucketBeyondGradientThrows) {
 // --------------------------------------------------------- link latency
 
 TEST(LinkLatency, DelaysDeliveryWithoutBusyWaiting) {
-  ProcessGroup group(2);
-  group.set_fabric(sim::FabricModel::uniform_latency(0.05));
+  GroupOptions options;
+  options.size = 2;
+  options.fabric = sim::FabricModel::uniform_latency(0.05);
+  ProcessGroup group(options);
   run_ranks(group, [&](int rank, Communicator& comm) {
     if (rank == 0) {
       comm.send(1, 4, {9.0});
@@ -536,8 +538,10 @@ TEST(LinkLatency, AsyncWorkHidesLatencyBehindCompute) {
   // concurrently and the total is well under the serial sum.
   const int n = 2;
   const double latency = 0.02;
-  ProcessGroup group(n);
-  group.set_fabric(sim::FabricModel::uniform_latency(latency));
+  GroupOptions options;
+  options.size = n;
+  options.fabric = sim::FabricModel::uniform_latency(latency);
+  ProcessGroup group(options);
   std::atomic<int> hidden{0};
   run_ranks(group, [&](int rank, Communicator& comm) {
     (void)rank;

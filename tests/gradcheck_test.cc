@@ -97,8 +97,7 @@ void check_under_both_backends(MakeLayer make_layer, MakeInput make_input,
   {
     kernels::Arena arena;
     const kernels::Context ctx{
-        &kernels::kernel(kernels::KernelKind::kOptimized), nullptr,
-        arena.resource()};
+        &kernels::kernel(kernels::KernelKind::kOptimized), arena.resource()};
     auto layer = make_layer();
     check_layer(*layer, make_input(), &ctx, check_input);
   }

@@ -4,12 +4,10 @@
 // checked here, not assumed: a randomized sweep of well over 200
 // shapes -- odd and non-blocked sizes, batch 1, degenerate dims --
 // asserts that every optimized kernel agrees with the retained naive
-// reference BITWISE on the deterministic single-thread path, and
-// within <= 2 ulp (in practice also bitwise) on the threaded path,
-// which must additionally be stable across pool sizes.
+// reference BITWISE, whether its scratch comes from the heap or from an
+// arena.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -20,7 +18,6 @@
 #include "common/rng.h"
 #include "dnn/kernels/arena.h"
 #include "dnn/kernels/kernels.h"
-#include "dnn/kernels/thread_pool.h"
 #include "dnn/layers.h"
 
 namespace cannikin::dnn::kernels {
@@ -85,7 +82,7 @@ const KernelBackend& optimized() { return kernel(KernelKind::kOptimized); }
 // ------------------------------------------------ deterministic path
 
 // 80 randomized shapes per GEMM-family op (240 total, over the 200
-// the conformance contract requires) -- serial path must be bitwise.
+// the conformance contract requires) -- each must be bitwise.
 constexpr int kShapesPerOp = 80;
 
 TEST(KernelParity, MatmulNnBitwiseOnSerialPath) {
@@ -97,8 +94,8 @@ TEST(KernelParity, MatmulNnBitwiseOnSerialPath) {
     const auto b = random_values(k * n, rng);
     std::vector<double> c_ref(m * n, -7.0);  // overwritten by contract
     std::vector<double> c_opt(m * n, 3.0);
-    naive().matmul_nn(a.data(), b.data(), c_ref.data(), m, k, n, nullptr);
-    optimized().matmul_nn(a.data(), b.data(), c_opt.data(), m, k, n, nullptr);
+    naive().matmul_nn(a.data(), b.data(), c_ref.data(), m, k, n);
+    optimized().matmul_nn(a.data(), b.data(), c_opt.data(), m, k, n);
     expect_bitwise(c_opt, c_ref, "matmul_nn", m, k, n);
   }
 }
@@ -116,14 +113,19 @@ TEST(KernelParity, LinearBitwiseOnSerialPath) {
     const bool with_bias = iter % 2 == 0;
     const Activation act = static_cast<Activation>(iter % 3);
     std::vector<double> c_ref(m * n, 0.0);
-    std::vector<double> c_opt(m * n, 0.0);
     naive().linear(a.data(), w.data(), with_bias ? bias.data() : nullptr,
-                   c_ref.data(), m, k, n, act, nullptr,
+                   c_ref.data(), m, k, n, act,
                    std::pmr::get_default_resource());
-    // The optimized path also gets an arena scratch, like the trainer.
-    optimized().linear(a.data(), w.data(), with_bias ? bias.data() : nullptr,
-                       c_opt.data(), m, k, n, act, nullptr, arena.resource());
-    expect_bitwise(c_opt, c_ref, "linear", m, k, n);
+    // Heap scratch (no arena attached) and arena scratch (the
+    // trainer's) must both leave the result bitwise unchanged.
+    for (std::pmr::memory_resource* scratch :
+         {std::pmr::get_default_resource(), arena.resource()}) {
+      std::vector<double> c_opt(m * n, 0.0);
+      optimized().linear(a.data(), w.data(),
+                         with_bias ? bias.data() : nullptr, c_opt.data(), m,
+                         k, n, act, scratch);
+      expect_bitwise(c_opt, c_ref, "linear", m, k, n);
+    }
   }
 }
 
@@ -138,9 +140,8 @@ TEST(KernelParity, MatmulTnAccBitwiseOnSerialPath) {
     const auto seed_c = random_values(m * n, rng);
     std::vector<double> c_ref = seed_c;
     std::vector<double> c_opt = seed_c;
-    naive().matmul_tn_acc(a.data(), b.data(), c_ref.data(), m, k, n, nullptr);
-    optimized().matmul_tn_acc(a.data(), b.data(), c_opt.data(), m, k, n,
-                              nullptr);
+    naive().matmul_tn_acc(a.data(), b.data(), c_ref.data(), m, k, n);
+    optimized().matmul_tn_acc(a.data(), b.data(), c_opt.data(), m, k, n);
     expect_bitwise(c_opt, c_ref, "matmul_tn_acc", m, k, n);
   }
 }
@@ -153,8 +154,8 @@ TEST(KernelParity, ColSumAccBitwiseOnSerialPath) {
     const auto seed_out = random_values(n, rng);
     std::vector<double> out_ref = seed_out;
     std::vector<double> out_opt = seed_out;
-    naive().col_sum_acc(a.data(), out_ref.data(), m, n, nullptr);
-    optimized().col_sum_acc(a.data(), out_opt.data(), m, n, nullptr);
+    naive().col_sum_acc(a.data(), out_ref.data(), m, n);
+    optimized().col_sum_acc(a.data(), out_opt.data(), m, n);
     expect_bitwise(out_opt, out_ref, "col_sum_acc", m, 0, n);
   }
 }
@@ -174,12 +175,10 @@ TEST(KernelParity, FusedLinearMatchesComposedReference) {
       std::vector<double> fused(m * n, 0.0);
       std::vector<double> composed(m * n, 0.0);
       optimized().linear(a.data(), w.data(), bias.data(), fused.data(), m, k,
-                         n, act, nullptr, std::pmr::get_default_resource());
+                         n, act, std::pmr::get_default_resource());
       naive().linear(a.data(), w.data(), bias.data(), composed.data(), m, k,
-                     n, Activation::kNone, nullptr,
-                     std::pmr::get_default_resource());
-      naive().activation_forward(act, composed.data(), composed.data(), m * n,
-                                 nullptr);
+                     n, Activation::kNone, std::pmr::get_default_resource());
+      naive().activation_forward(act, composed.data(), composed.data(), m * n);
       expect_bitwise(fused, composed, "fused linear", m, k, n);
     }
   }
@@ -194,16 +193,15 @@ TEST(KernelParity, ActivationForwardBackwardBitwise) {
     for (Activation act :
          {Activation::kNone, Activation::kReLU, Activation::kTanh}) {
       std::vector<double> y_ref(count), y_opt(count);
-      naive().activation_forward(act, x.data(), y_ref.data(), count, nullptr);
-      optimized().activation_forward(act, x.data(), y_opt.data(), count,
-                                     nullptr);
+      naive().activation_forward(act, x.data(), y_ref.data(), count);
+      optimized().activation_forward(act, x.data(), y_opt.data(), count);
       expect_bitwise(y_opt, y_ref, "activation_forward", count, 0, 0);
 
       std::vector<double> dx_ref(count), dx_opt(count);
       naive().activation_backward(act, y_ref.data(), dy.data(), dx_ref.data(),
-                                  count, nullptr);
+                                  count);
       optimized().activation_backward(act, y_opt.data(), dy.data(),
-                                      dx_opt.data(), count, nullptr);
+                                      dx_opt.data(), count);
       expect_bitwise(dx_opt, dx_ref, "activation_backward", count, 0, 0);
     }
   }
@@ -220,9 +218,9 @@ TEST(KernelParity, OptimizerStepsBitwise) {
       std::vector<double> v_ref(count, 0.0), v_opt(count, 0.0);
       for (int step = 0; step < 3; ++step) {
         naive().sgd_step(p_ref.data(), grads.data(), v_ref.data(), count,
-                         0.05, 0.9, 1e-4, nullptr);
+                         0.05, 0.9, 1e-4);
         optimized().sgd_step(p_opt.data(), grads.data(), v_opt.data(), count,
-                             0.05, 0.9, 1e-4, nullptr);
+                             0.05, 0.9, 1e-4);
       }
       expect_bitwise(p_opt, p_ref, "sgd_step params", count, 0, 0);
       expect_bitwise(v_opt, v_ref, "sgd_step velocity", count, 0, 0);
@@ -236,10 +234,10 @@ TEST(KernelParity, OptimizerStepsBitwise) {
         const double bc2 = 1.0 - std::pow(0.999, step);
         naive().adam_step(p_ref.data(), grads.data(), m_ref.data(),
                           v_ref.data(), count, 0.001, 0.9, 0.999, bc1, bc2,
-                          1e-8, 0.01, decoupled, nullptr);
+                          1e-8, 0.01, decoupled);
         optimized().adam_step(p_opt.data(), grads.data(), m_opt.data(),
                               v_opt.data(), count, 0.001, 0.9, 0.999, bc1,
-                              bc2, 1e-8, 0.01, decoupled, nullptr);
+                              bc2, 1e-8, 0.01, decoupled);
       }
       expect_bitwise(p_opt, p_ref, "adam_step params", count, 0, 0);
       expect_bitwise(m_opt, m_ref, "adam_step m", count, 0, 0);
@@ -316,7 +314,7 @@ struct ConvResult {
 };
 
 ConvResult run_conv(const KernelBackend& backend, const ConvCase& c,
-                    ThreadPool* pool, std::pmr::memory_resource* scratch) {
+                    std::pmr::memory_resource* scratch) {
   const ConvShape& s = c.shape;
   ConvResult r;
   r.out.assign(s.batch * s.out_c * s.oh() * s.ow(), -7.0);  // overwritten
@@ -324,12 +322,12 @@ ConvResult run_conv(const KernelBackend& backend, const ConvCase& c,
   r.weight_grad = c.weight_grad0;
   r.bias_grad = c.bias_grad0;
   backend.conv2d_forward(c.input.data(), c.weight.data(), c.bias.data(),
-                         r.out.data(), s, pool, scratch);
+                         r.out.data(), s, scratch);
   backend.conv2d_backward_params(c.input.data(), c.grad_out.data(),
                                  r.weight_grad.data(), r.bias_grad.data(), s,
-                                 pool, scratch);
+                                 scratch);
   backend.conv2d_backward_input(c.grad_out.data(), c.weight.data(),
-                                r.grad_input.data(), s, pool, scratch);
+                                r.grad_input.data(), s, scratch);
   return r;
 }
 
@@ -355,30 +353,14 @@ TEST(KernelParity, Conv2dBitwiseOnSerialPath) {
     arena.reset();
     const ConvCase c = random_conv_case(rng);
     const ConvResult want =
-        run_conv(naive(), c, nullptr, std::pmr::get_default_resource());
-    // The optimized ops take their padded planes from an arena, as in
-    // the trainer.
-    const ConvResult got = run_conv(optimized(), c, nullptr, arena.resource());
-    expect_conv_bitwise(got, want, c.shape, "optimized vs naive");
-  }
-}
-
-TEST(KernelParity, Conv2dBitwiseAcrossPoolSizes) {
-  Rng rng(1002);
-  ThreadPool pools[] = {ThreadPool(1), ThreadPool(2), ThreadPool(3),
-                        ThreadPool(4)};
-  for (int iter = 0; iter < 25; ++iter) {
-    const ConvCase c = random_conv_case(rng);
-    const ConvResult want =
-        run_conv(naive(), c, nullptr, std::pmr::get_default_resource());
-    for (ThreadPool& pool : pools) {
-      for (const KernelBackend* backend : {&naive(), &optimized()}) {
-        const ConvResult got =
-            run_conv(*backend, c, &pool, std::pmr::get_default_resource());
-        expect_conv_bitwise(got, want, c.shape,
-                            pool.size() == 1 ? "pool of 1" : "threaded");
-      }
-    }
+        run_conv(naive(), c, std::pmr::get_default_resource());
+    // Heap scratch (no arena attached) and arena scratch (the
+    // trainer's) must both leave the result bitwise unchanged.
+    expect_conv_bitwise(
+        run_conv(optimized(), c, std::pmr::get_default_resource()), want,
+        c.shape, "optimized (heap scratch) vs naive");
+    expect_conv_bitwise(run_conv(optimized(), c, arena.resource()), want,
+                        c.shape, "optimized (arena scratch) vs naive");
   }
 }
 
@@ -407,7 +389,7 @@ void expect_backward_params_matches(const std::function<std::unique_ptr<Layer>()
 
 TEST(KernelParity, BackwardParamsMatchesFullBackward) {
   Arena arena;
-  const Context optimized_ctx{&optimized(), nullptr, arena.resource()};
+  const Context optimized_ctx{&optimized(), arena.resource()};
   for (const Context* ctx : {static_cast<const Context*>(nullptr),
                              &optimized_ctx}) {
     Rng rng(1003);
@@ -439,93 +421,6 @@ TEST(KernelParity, BackwardParamsMatchesFullBackward) {
             },
             flat, ctx);
       }
-    }
-  }
-}
-
-// --------------------------------------------------- threaded path
-
-// The threaded contract promises <= 2 ulp; the built-in kernels'
-// static disjoint partition actually delivers bitwise equality and
-// stability across pool sizes, which is asserted (a regression to
-// "merely within tolerance" on these kernels would be a bug).
-TEST(KernelParity, ThreadedMatchesSerialAcrossPoolSizes) {
-  Rng rng(808);
-  ThreadPool pool2(2);
-  ThreadPool pool4(4);
-  for (int iter = 0; iter < 25; ++iter) {
-    const std::size_t m = random_dim(rng), k = random_dim(rng),
-                      n = random_dim(rng);
-    const auto a = random_values(m * k, rng);
-    const auto b = random_values(k * n, rng);
-    const auto w = random_values(n * k, rng);
-    const auto bias = random_values(n, rng);
-
-    std::vector<double> serial(m * n, 0.0);
-    optimized().matmul_nn(a.data(), b.data(), serial.data(), m, k, n,
-                          nullptr);
-    for (ThreadPool* pool : {&pool2, &pool4}) {
-      std::vector<double> threaded(m * n, 0.0);
-      optimized().matmul_nn(a.data(), b.data(), threaded.data(), m, k, n,
-                            pool);
-      for (std::size_t i = 0; i < threaded.size(); ++i) {
-        ASSERT_LE(ulp_distance(threaded[i], serial[i]), 2)
-            << "matmul_nn threads=" << pool->size() << " m=" << m << " k="
-            << k << " n=" << n << " i=" << i;
-      }
-      expect_bitwise(threaded, serial, "threaded matmul_nn", m, k, n);
-    }
-
-    std::vector<double> lin_serial(m * n, 0.0);
-    optimized().linear(a.data(), w.data(), bias.data(), lin_serial.data(), m,
-                       k, n, Activation::kReLU, nullptr,
-                       std::pmr::get_default_resource());
-    for (ThreadPool* pool : {&pool2, &pool4}) {
-      std::vector<double> lin_threaded(m * n, 0.0);
-      optimized().linear(a.data(), w.data(), bias.data(), lin_threaded.data(),
-                         m, k, n, Activation::kReLU, pool,
-                         std::pmr::get_default_resource());
-      for (std::size_t i = 0; i < lin_threaded.size(); ++i) {
-        ASSERT_LE(ulp_distance(lin_threaded[i], lin_serial[i]), 2)
-            << "linear threads=" << pool->size();
-      }
-      expect_bitwise(lin_threaded, lin_serial, "threaded linear", m, k, n);
-    }
-
-    const auto at = random_values(k * m, rng);
-    const auto seed_c = random_values(m * n, rng);
-    std::vector<double> acc_serial = seed_c;
-    optimized().matmul_tn_acc(at.data(), b.data(), acc_serial.data(), m, k, n,
-                              nullptr);
-    for (ThreadPool* pool : {&pool2, &pool4}) {
-      std::vector<double> acc_threaded = seed_c;
-      optimized().matmul_tn_acc(at.data(), b.data(), acc_threaded.data(), m,
-                                k, n, pool);
-      expect_bitwise(acc_threaded, acc_serial, "threaded matmul_tn_acc", m, k,
-                     n);
-    }
-  }
-}
-
-TEST(KernelParity, ThreadPoolCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  Rng rng(909);
-  for (int iter = 0; iter < 50; ++iter) {
-    const std::size_t n =
-        static_cast<std::size_t>(rng.uniform_int(0, 5000));
-    const std::size_t grain =
-        static_cast<std::size_t>(rng.uniform_int(0, 64));
-    std::vector<std::atomic<int>> hits(n);
-    pool.parallel_for(n, grain, [&](std::size_t begin, std::size_t end) {
-      ASSERT_LE(begin, end);
-      ASSERT_LE(end, n);
-      for (std::size_t i = begin; i < end; ++i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " n=" << n << " grain="
-                                   << grain;
     }
   }
 }
@@ -569,7 +464,6 @@ TEST(KernelParity, ArenaResetRecyclesWithoutGrowth) {
 TEST(KernelParity, ContextDefaultsToNaiveSerialHeap) {
   const Context& ctx = default_context();
   EXPECT_STREQ(ctx.k().name(), "naive");
-  EXPECT_TRUE(ctx.deterministic());
   EXPECT_EQ(ctx.resource(), std::pmr::get_default_resource());
   EXPECT_STREQ(kernel(KernelKind::kOptimized).name(), "optimized");
   EXPECT_STREQ(kernel_kind_name(KernelKind::kNaive), "naive");
